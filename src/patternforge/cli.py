@@ -30,6 +30,8 @@ from .errors import (
     BudgetExceededError,
     OrderingError,
     PatternforgeError,
+    StructureError,
+    TensorParseError,
     VerificationError,
 )
 from .extremal import (
@@ -60,10 +62,13 @@ EXIT_VERIFY = 4
 
 def _load_tensor(source: str) -> TensorMatrix:
     if source.startswith("allones:"):
-        dims = [int(tok) for tok in source[len("allones:") :].split(",") if tok]
-        if not dims:
-            raise PatternforgeError(f"empty extents in shorthand {source!r}")
-        return all_ones(dims)
+        toks = [tok for tok in source[len("allones:") :].split(",") if tok]
+        if not toks:
+            raise TensorParseError(f"empty extents in shorthand {source!r}")
+        try:
+            return all_ones(int(tok) for tok in toks)
+        except ValueError:
+            raise TensorParseError(f"non-integer extent in shorthand {source!r}") from None
     text = Path(source).read_text()
     if text.lstrip().startswith("{"):
         return tensor_from_json(text)
@@ -71,7 +76,10 @@ def _load_tensor(source: str) -> TensorMatrix:
 
 
 def _load_witness(path: str) -> GridWitness:
-    return GridWitness.from_json(json.loads(Path(path).read_text()))
+    try:
+        return GridWitness.from_json(json.loads(Path(path).read_text()))
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"witness file {path}: {exc}") from None
 
 
 def _seed64(value: str) -> int:
@@ -87,10 +95,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _tensor_payload(A: TensorMatrix) -> dict:
-    return tensor_to_json(A)
 
 
 def _tensor_lines(A: TensorMatrix) -> list[str]:
@@ -142,13 +146,13 @@ def _cmd_minor(args) -> int:
 def _cmd_contract(args) -> int:
     A = _load_tensor(args.a)
     out = contract(A, args.axis, args.lo, args.hi)
-    _emit(args, _tensor_payload(out), _tensor_lines(out))
+    _emit(args, tensor_to_json(out), _tensor_lines(out))
     return EXIT_OK
 
 
 def _cmd_kron(args) -> int:
     out = kronecker(_load_tensor(args.a), _load_tensor(args.b))
-    _emit(args, _tensor_payload(out), _tensor_lines(out))
+    _emit(args, tensor_to_json(out), _tensor_lines(out))
     return EXIT_OK
 
 
@@ -173,7 +177,7 @@ def _cmd_construct(args) -> int:
         perm = _construct.PermutationTensor(_load_tensor(args.p))
         red = _construct.corner_reduce(perm, _load_witness(args.witness))
         payload = {
-            "matrix": _tensor_payload(red.matrix),
+            "matrix": tensor_to_json(red.matrix),
             "has_corner_one": red.has_corner_one,
             "keeps_smaller_minor": red.keeps_smaller_minor,
             "removed_boundary": [list(c) for c in red.removed_boundary],
@@ -188,12 +192,8 @@ def _cmd_construct(args) -> int:
         ]
         _emit(args, payload, lines)
         return EXIT_OK if red.checks_pass else EXIT_VERIFY
-    _emit(args, _tensor_payload(out), _tensor_lines(out))
+    _emit(args, tensor_to_json(out), _tensor_lines(out))
     return EXIT_OK
-
-
-def _record_payload(rec) -> dict:
-    return rec.to_json()
 
 
 def _record_lines(rec) -> list[str]:
@@ -219,7 +219,7 @@ def _cmd_extremal(args) -> int:
     )
     run = max_ones_avoiding if args.kind == "f" else max_ones_avoiding_minor
     rec = run(args.n, P, cfg)
-    _emit(args, _record_payload(rec), _record_lines(rec))
+    _emit(args, rec.to_json(), _record_lines(rec))
     return EXIT_OK if rec.status == "exact" else EXIT_UNDECIDED
 
 

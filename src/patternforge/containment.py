@@ -7,7 +7,8 @@ Interval-minor containment: B is an interval minor of A when contracting
 consecutive cross sections of A can produce a matrix containing B.  The
 decider here works with the equivalent grid-witness form: per-axis systems of
 disjoint increasing intervals such that every block selected by a 1 of B
-contains a 1 of A.  A literal breadth-first search over contraction sequences
+contains a 1 of A; all-ones targets are decided from the list of ones of A
+alone.  A literal breadth-first search over contraction sequences
 (`contains_via_contraction_oracle`) exists purely to cross-check that
 equivalence on tiny instances.
 
@@ -199,6 +200,13 @@ def verify_witness(A: TensorMatrix, B: TensorMatrix, W: GridWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_same_d(A: TensorMatrix, B: TensorMatrix) -> None:
+    if A.d != B.d:
+        raise StructureError(
+            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
+        )
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -227,17 +235,14 @@ def find_embedding(
     host gaps are at least the pattern gaps, and both ends leave room
     (p <= v <= n - (k - p)).
     """
-    if A.d != P.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {P.d}-dimensional"
-        )
+    _check_same_d(A, P)
     if any(k > n for k, n in zip(P.dims, A.dims)):
         return None
     pat = sorted(P.ones)
     if not pat:
         return []
     host = A.ones_sorted()
-    if len(host) < _distinct_requirement(pat):
+    if len(host) < len(pat):  # each pattern 1 needs its own host 1
         return None
     budget = _Budget(node_budget)
     d = A.d
@@ -300,11 +305,6 @@ def find_embedding(
     return None
 
 
-def _distinct_requirement(pat: list[Coord]) -> int:
-    # an embedding needs at least one host 1 per pattern 1
-    return len(pat)
-
-
 def contains_pattern(
     A: TensorMatrix, P: TensorMatrix, node_budget: int | None = None
 ) -> bool:
@@ -318,57 +318,64 @@ def contains_pattern(
 # ---------------------------------------------------------------------------
 
 
-def _cut_tuples(n: int, k: int):
-    """All boundary tuples (0, c_1, ..., c_{k-1}, n) cutting 1..n into k
-    consecutive nonempty parts."""
-    for mids in itertools.combinations(range(1, n), k - 1):
-        yield (0,) + mids + (n,)
+# the all-ones decider builds block labels in chunks of at most this many bytes
+_LABEL_BYTES = 1 << 23
 
 
-def _allones_minor_decision(A: TensorMatrix, ks: tuple[int, ...]) -> bool:
+def _allones_minor(A: TensorMatrix, ks: tuple[int, ...]) -> bool:
     """Does A contain the all-ones pattern of extents `ks` as an interval
-    minor?
+    minor?  Only the list of ones of A is read.
 
-    For an all-ones target, witness intervals may always be widened into full
-    axis partitions (blocks only grow), so it is enough to scan partitions
-    into consecutive nonempty parts.  Axes are cut one by one with numpy
-    block-sum collapsing; the final axis is checked for all cut choices at
-    once against the prefix sums.
+    Witness intervals of an all-ones target widen into axis partitions.
+    Each tuple of cuts on axes 1..d-1, placed between distinct coordinates
+    of ones, labels every one with the bit of its (d-1)-block.  One sweep in
+    last-axis order closes a part, per cut tuple, once it has hit every
+    block, but never between ones sharing a last coordinate.  Blocks hit
+    only grow with the interval, so this greedy is exact.
     """
-    ns = A.dims
-    d = A.d
-    if any(k > n for k, n in zip(ks, ns)):
+    m = A.ones_count
+    if m < math.prod(ks):
         return False
-    if A.ones_count < math.prod(ks):
+    ones = sorted(A.ones, key=lambda c: c[-1])
+    X = np.array(ones, np.min_scalar_type(max(A.dims)))
+    cuts = []  # per leading axis: rows of ks[ax] - 1 increasing cut values
+    for ax, k in enumerate(ks[:-1]):
+        # a cut after value v puts the ones with coordinate <= v before it
+        vals = sorted({c[ax] for c in ones})[:-1]
+        rows = math.comb(len(vals), k - 1)
+        flat = itertools.chain.from_iterable(itertools.combinations(vals, k - 1))
+        cuts.append(np.fromiter(flat, X.dtype, rows * (k - 1)).reshape(rows, k - 1))
+    # index of the first one of every last coordinate
+    starts = [i for i in range(m) if i == 0 or ones[i - 1][-1] != ones[i][-1]]
+    if len(starts) < ks[-1]:
         return False
-    arr = np.zeros(ns, dtype=np.int64)
-    for c in A.ones:
-        arr[tuple(i - 1 for i in c)] = 1
-
-    last_k = ks[-1]
-    last_bounds = np.array(list(_cut_tuples(ns[-1], last_k)), dtype=np.intp)
-
-    def rec(block: np.ndarray, ax: int) -> bool:
-        if ax == d - 1:
-            pref = np.concatenate(
-                [np.zeros(block.shape[:-1] + (1,), dtype=np.int64), block.cumsum(axis=-1)],
-                axis=-1,
-            )
-            # counts[..., cut_choice, part] for every last-axis cut at once
-            counts = pref[..., last_bounds[:, 1:]] - pref[..., last_bounds[:, :-1]]
-            ok = (counts >= 1).all(axis=tuple(range(ax)) + (-1,))
-            return bool(ok.any())
-        n = block.shape[ax]
-        for bounds in _cut_tuples(n, ks[ax]):
-            slab = np.add.reduceat(block, bounds[:-1], axis=ax)
-            rest = tuple(i for i in range(d) if i != ax)
-            if (slab.sum(axis=rest) == 0).any():
-                continue
-            if rec(slab, ax + 1):
-                return True
-        return False
-
-    return rec(arr, 0)
+    full = (1 << math.prod(ks[:-1])) - 1
+    word = np.min_scalar_type(full)  # object beyond 64 blocks
+    total = math.prod(map(len, cuts))
+    chunk = max(1, _LABEL_BYTES // (m * word.itemsize))
+    for first in range(0, total, chunk):
+        tuple_no = np.arange(first, min(total, first + chunk))
+        # label[i, t]: block of one i under cut tuple t, then its bit
+        label = np.zeros((m, len(tuple_no)), dtype=word)
+        for ax in reversed(range(len(cuts))):
+            tuple_no, row = np.divmod(tuple_no, len(cuts[ax]))
+            label *= word.type(ks[ax])
+            for cut in cuts[ax][row].T:
+                label += cut < X[:, ax, None]
+        label = np.left_shift(word.type(1), label)
+        if len(starts) < m:
+            label = np.bitwise_or.reduceat(label, starts, axis=0)
+        hit = np.zeros_like(label[0])
+        parts_left = np.full(len(hit), ks[-1])
+        for bits in label:
+            hit |= bits
+            done = hit == full
+            if np.count_nonzero(done):
+                parts_left -= done
+                if np.count_nonzero(parts_left) < len(parts_left):
+                    return True
+                hit[done] = 0
+    return False
 
 
 def _witness_search(
@@ -436,8 +443,12 @@ def _witness_search(
     return place(0, 0)
 
 
-def _is_all_ones(B: TensorMatrix) -> bool:
-    return B.ones_count == B.cell_count
+def _allones_answer(A: TensorMatrix, B: TensorMatrix) -> bool | None:
+    """The sparse decision when B is all ones, None when B has a 0."""
+    _check_same_d(A, B)
+    if B.ones_count != B.cell_count:
+        return None
+    return _allones_minor(A, B.dims)
 
 
 def has_interval_minor(
@@ -445,16 +456,13 @@ def has_interval_minor(
 ) -> bool:
     """Interval-minor decision without certificate construction.
 
-    All-ones targets take the vectorized partition scan, which is what makes
-    exhaustive refutation on hosts like 9x9x9 practical; other targets run
-    the witness search.
+    All-ones targets take the sparse decider, whose work grows with the ones
+    of A and the cut tuples between them, not with the cells of A; they
+    spend no node budget.  Other targets run the witness search.
     """
-    if A.d != B.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
-        )
-    if _is_all_ones(B) and A.cell_count <= 1 << 24:
-        return _allones_minor_decision(A, B.dims)
+    answer = _allones_answer(A, B)
+    if answer is not None:
+        return answer
     return _witness_search(A, B, node_budget) is not None
 
 
@@ -464,15 +472,10 @@ def contains_interval_minor(
     """Lex-least grid witness that B is an interval minor of A, or None.
 
     The returned witness is minimal in the flattened-endpoint lexicographic
-    order over all valid witnesses.
+    order over all valid witnesses; an all-ones B is first decided sparsely.
     """
-    if A.d != B.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
-        )
-    if _is_all_ones(B) and A.cell_count <= 1 << 24:
-        if not _allones_minor_decision(A, B.dims):
-            return None
+    if _allones_answer(A, B) is False:
+        return None
     return _witness_search(A, B, node_budget)
 
 
@@ -487,10 +490,7 @@ def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:
 
     Deliberately unoptimized; refuses hosts above ORACLE_CELL_LIMIT cells.
     """
-    if A.d != B.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
-        )
+    _check_same_d(A, B)
     if A.cell_count > ORACLE_CELL_LIMIT:
         raise PreconditionError(
             f"oracle limited to {ORACLE_CELL_LIMIT} cells, host has {A.cell_count}"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import norm
 
 from .construct import random_permutation
 from .containment import has_interval_minor
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .tensor import all_ones
 
-_Z99 = float(norm.ppf(0.995))  # two-sided 99% normal quantile
+_Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
 
 
 def side_threshold(ell: int, d: int) -> int:
@@ -175,8 +174,8 @@ class EstimateReport:
     d: int
     trials: int
     avoid_count: int
-    undecided: int
-    estimate: float  # avoid_count / trials
+    undecided: int  # budget-exhausted trials; all-ones targets spend no budget
+    estimate: float  # avoid_count / trials, undecided trials included
     conf99: float  # normal-approximation radius at 99%
     seed: int
 
@@ -213,9 +212,9 @@ def avoid_probability(
     pattern as an interval minor.
 
     Trial t uses the seed stream (seed, t), so the result is identical for
-    any thread count and any execution order.  A trial whose containment
-    check exhausts its node budget counts as undecided and joins neither
-    side of the estimate.
+    any thread count and any execution order.  The estimate divides by all
+    trials: one whose check exhausts its node budget counts as undecided, not
+    avoiding.  All-ones targets spend no `node_budget`, so none is undecided.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")

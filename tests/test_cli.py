@@ -361,6 +361,24 @@ def test_bad_allones_shorthand_exits_2(capsys):
     assert code == 2
 
 
+def test_non_integer_allones_extent_exits_2(capsys):
+    code = main(["minor", "--a", "allones:2,x", "--b", "allones:2,2"])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
+def test_malformed_witness_json_exits_2(tmp_path, capsys):
+    perm = tmp_path / "cyc.tsr"
+    perm.write_text(
+        serialize_tensor(TensorMatrix((4, 4), [(1, 2), (2, 4), (3, 1), (4, 3)]))
+    )
+    wit = tmp_path / "w.json"
+    wit.write_text('{"axes": [[[1, 2], [3, 4]]')
+    code = main(["construct", "corner-reduce", "--p", str(perm), "--witness", str(wit)])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
 def test_seed_must_fit_64_bits(capsys):
     code = main(["construct", "random-perm", "--k", "3", "--d", "2",
                  "--seed", str(2**64)])

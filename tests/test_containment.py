@@ -2,10 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from patternforge import containment
+from patternforge.construct import identity_permutation, random_permutation
 from patternforge.containment import (
     GridWitness,
     contains_interval_minor,
@@ -306,9 +309,7 @@ class TestContainsIntervalMinor:
             contains_interval_minor(all_ones((2, 2)), all_ones((2, 2, 2)))
 
     def test_allones_fast_path_agrees_with_search_3d(self):
-        # exercises the partition scan against the generic witness search
-        import numpy as np
-
+        # exercises the all-ones decider against the literal witness oracle
         rng = np.random.default_rng(11)
         for _ in range(25):
             dims = (3, 3, 3)
@@ -316,6 +317,91 @@ class TestContainsIntervalMinor:
             A = oracles.from_dense(mask.astype(np.int8))
             B = all_ones((2, 2, 2))
             assert has_interval_minor(A, B) == oracles.minor_oracle(A, B)
+
+
+# -- all-ones decider ------------------------------------------------------------
+
+
+@st.composite
+def allones_targets(draw):
+    """A host and all-ones target extents; extents and ks include 1 and may
+    differ by axis, and hosts may be empty or share last coordinates."""
+    d = draw(st.integers(2, 4))
+    host_max, k_max = {2: (5, 3), 3: (4, 3), 4: (3, 2)}[d]
+    dims = tuple(draw(st.integers(1, host_max)) for _ in range(d))
+    ks = tuple(draw(st.integers(1, k_max)) for _ in range(d))
+    cells = list(itertools.product(*(range(1, n + 1) for n in dims)))
+    bits = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    return TensorMatrix(dims, itertools.compress(cells, bits)), ks
+
+
+# has_interval_minor(random_permutation(k, d, SeedSequence([1506, t])), J_ell)
+# for t = 0..19, one character per t (1: contains), recorded with a dense
+# partition scan over all k^d cells
+FROZEN_PERMUTATION_ANSWERS = {
+    (4, 2, 2): "00110100010111000111",
+    (34, 2, 2): "11111111111111111111",
+    (12, 3, 2): "11110111111101111111",
+    (119, 3, 2): "11111111111111111111",
+    (10, 2, 3): "01001000100011000110",
+    (178, 2, 3): "11111111111111111111",
+}
+
+
+def permutation_answers(k, ell, d):
+    target = all_ones((ell,) * d)
+    return "".join(
+        "1" if has_interval_minor(
+            random_permutation(k, d, np.random.SeedSequence([1506, t])).matrix, target
+        ) else "0"
+        for t in range(20)
+    )
+
+
+class TestAllOnesDecider:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(allones_targets())
+    @example((TensorMatrix((3, 3)), (1, 1)))  # empty host
+    @example((TensorMatrix((3, 2, 2), [(1, 1, 1), (3, 2, 1), (2, 1, 2)]), (2, 1, 2)))
+    @example((TensorMatrix((2, 3), [(1, 1), (2, 3), (1, 3), (2, 1)]), (2, 2)))  # ties
+    @example((all_ones((2, 2)), (2, 2)))  # the host is the target
+    def test_matches_minor_oracle(self, case):
+        A, ks = case
+        B = all_ones(ks)
+        expected = oracles.minor_oracle(A, B)
+        assert has_interval_minor(A, B) == expected
+        assert (contains_interval_minor(A, B) is not None) == expected
+
+    @pytest.mark.parametrize("point", sorted(FROZEN_PERMUTATION_ANSWERS), ids=str)
+    def test_frozen_random_permutation_answers(self, point):
+        assert permutation_answers(*point) == FROZEN_PERMUTATION_ANSWERS[point]
+
+    def test_answers_do_not_depend_on_chunk_size(self, monkeypatch):
+        # one cut tuple per chunk
+        monkeypatch.setattr(containment, "_LABEL_BYTES", 1)
+        for point in [(4, 2, 2), (12, 3, 2), (10, 2, 3)]:
+            assert permutation_answers(*point) == FROZEN_PERMUTATION_ANSWERS[point]
+
+    def test_identity_above_dense_size_avoids_j2(self):
+        A = identity_permutation(300, 3).matrix
+        assert A.cell_count > 1 << 24
+        assert not has_interval_minor(A, all_ones((2, 2, 2)))
+        assert contains_interval_minor(A, all_ones((2, 2, 2))) is None
+
+    def test_identity_plus_cube_corners_contains_j2(self):
+        ones = set(identity_permutation(300, 3).matrix.ones)
+        ones |= set(itertools.product((1, 300), repeat=3))
+        A = TensorMatrix((300,) * 3, ones)
+        assert A.ones_count == 306
+        assert has_interval_minor(A, all_ones((2, 2, 2)))
+
+    def test_more_than_64_blocks(self):
+        # 81 blocks on the leading axes do not fit one machine word
+        full = all_ones((9, 9, 2))
+        assert has_interval_minor(full, full)
+        holed = TensorMatrix(full.dims, full.ones - {(5, 5, 2)})
+        assert not has_interval_minor(holed, full)
+        assert has_interval_minor(holed, all_ones((9, 8, 2)))
 
 
 # -- contraction-sequence oracle ---------------------------------------------------

@@ -1,6 +1,10 @@
 """Threshold formulas, the bound chain, Monte Carlo, and rational bounds."""
 
 import math
+import os
+import statistics
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -161,6 +165,20 @@ class TestAvoidProbability:
         p = rep.estimate
         want = probability._Z99 * math.sqrt(p * (1 - p) / 400)
         assert rep.conf99 == pytest.approx(want)
+
+    def test_z99_is_the_two_sided_99_percent_quantile(self):
+        want = statistics.NormalDist().inv_cdf(0.995)
+        assert abs(probability._Z99 - want) < 1e-12
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(probability.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, patternforge; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_undecided_trials_are_counted_and_excluded(self, monkeypatch):
         calls = {"n": 0}
