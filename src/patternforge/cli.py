@@ -89,6 +89,13 @@ def _seed64(value: str) -> int:
     return seed
 
 
+def _threads(value: str) -> int:
+    threads = int(value)
+    if threads < 1:
+        raise argparse.ArgumentTypeError("need --threads >= 1")
+    return threads
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -214,7 +221,6 @@ def _cmd_extremal(args) -> int:
         node_budget=args.budget_nodes,
         time_budget=args.budget_secs,
         cache_dir=_cache_dir(args),
-        parallel_width=args.threads,
         verify=not args.no_verify,
     )
     run = max_ones_avoiding if args.kind == "f" else max_ones_avoiding_minor
@@ -229,7 +235,6 @@ def _cmd_ratio_seq(args) -> int:
         node_budget=args.budget_nodes,
         time_budget=args.budget_secs,
         cache_dir=_cache_dir(args),
-        parallel_width=args.threads,
     )
     pts = ratio_sequence(P, range(args.n_from, args.n_to + 1), cfg, kind=args.kind)
     payload = {
@@ -291,9 +296,7 @@ def _cmd_prob(args) -> int:
     if args.sweep_k:
         ks = [int(tok) for tok in args.sweep_k.split(",") if tok]
         reports = [
-            _prob.avoid_probability(
-                k, args.ell, args.d, args.trials, args.seed, threads=args.threads
-            )
+            _prob.avoid_probability(k, args.ell, args.d, args.trials, args.seed)
             for k in ks
         ]
         payload = {"reports": [r.to_json() for r in reports]}
@@ -304,9 +307,7 @@ def _cmd_prob(args) -> int:
         ]
         _emit(args, payload, lines)
         return EXIT_OK
-    rep = _prob.avoid_probability(
-        args.k, args.ell, args.d, args.trials, args.seed, threads=args.threads
-    )
+    rep = _prob.avoid_probability(args.k, args.ell, args.d, args.trials, args.seed)
     _emit(args, rep.to_json(), _estimate_lines(rep))
     return EXIT_OK
 
@@ -360,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_threads,
             default=1,
-            help="parallel width cap; output is byte-identical for any value",
+            help="accepted for compatibility; work runs on one thread; "
+            "output is identical for any value",
         )
         return p
 

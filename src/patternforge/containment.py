@@ -236,17 +236,30 @@ def find_embedding(
     (p <= v <= n - (k - p)).
     """
     _check_same_d(A, P)
-    if any(k > n for k, n in zip(P.dims, A.dims)):
+    return _embedding(A.ones_sorted(), A.dims, P, node_budget)
+
+
+def _embedding(
+    host: list[Coord], dims: tuple[int, ...], P: TensorMatrix,
+    node_budget: int | None = None, through_last: bool = False,
+) -> list[tuple[Coord, Coord]] | None:
+    """`find_embedding` on the lex-sorted ones `host` of a matrix of extents
+    `dims`.
+
+    With through_last, only embeddings using host[-1] are searched.
+    Strictly increasing axis maps keep lex order, so the lex-greatest host 1
+    can only be the image of the lex-greatest 1 of P; that pair is pinned
+    before the search runs over the rest.
+    """
+    if any(k > n for k, n in zip(P.dims, dims)):
         return None
-    pat = sorted(P.ones)
+    pat = P.ones_sorted()
     if not pat:
         return []
-    host = A.ones_sorted()
     if len(host) < len(pat):  # each pattern 1 needs its own host 1
         return None
     budget = _Budget(node_budget)
-    d = A.d
-    dims = A.dims
+    d = len(dims)
     kdims = P.dims
     # per-axis partial maps pattern coordinate -> host coordinate
     maps: list[dict[int, int]] = [dict() for _ in range(d)]
@@ -278,10 +291,13 @@ def find_embedding(
                 touched.append(ax)
         return touched
 
-    def unassign(pc: Coord, touched: list[int]) -> None:
-        for ax in touched:
-            del maps[ax][pc[ax]]
-
+    pinned = []
+    if through_last:
+        if not compatible(pat[-1], host[-1]):
+            return None
+        assign(pat[-1], host[-1])
+        pinned = [(pat.pop(), host[-1])]
+        host = host[:-1]
     chosen: list[Coord] = []
 
     def rec(i: int) -> bool:
@@ -297,11 +313,12 @@ def find_embedding(
             if rec(i + 1):
                 return True
             chosen.pop()
-            unassign(pc, touched)
+            for ax in touched:
+                del maps[ax][pc[ax]]
         return False
 
     if rec(0):
-        return list(zip(pat, chosen))
+        return list(zip(pat, chosen)) + pinned
     return None
 
 

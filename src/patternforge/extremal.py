@@ -15,10 +15,10 @@ import itertools
 import json
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
-from .containment import contains_pattern, has_interval_minor
+from .containment import _embedding, contains_pattern, has_interval_minor
 from .errors import PreconditionError, StructureError, VerificationError
 from .tensor import (
     Coord,
@@ -34,36 +34,26 @@ RECORDS_FILENAME = "records.jsonl"
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the branch-and-bound search.
-
-    node_budget / time_budget of None mean unlimited.  reflection_pruning
-    enables a symmetry cut that may only ever change which witness is found,
-    never the value.  parallel_width is accepted for interface stability; the
-    search result is defined to be identical for every width.
-    """
+    """Knobs for the branch-and-bound search; budgets of None mean unlimited."""
 
     node_budget: int | None = None
     time_budget: float | None = None
     cache_dir: str | Path | None = None
-    parallel_width: int = 1
     verify: bool = True
-    reflection_pruning: bool = False
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
             raise PreconditionError("node budget must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
             raise PreconditionError("time budget must be positive")
-        if self.parallel_width < 1:
-            raise PreconditionError("parallel width must be positive")
 
     def fingerprint(self) -> str:
         """Digest of everything that can influence the found witness."""
         import hashlib
 
-        payload = json.dumps(
-            {"algo": _ALGO, "reflect": self.reflection_pruning}, sort_keys=True
-        )
+        # "reflect" was an optional symmetry cut, since removed; the key stays
+        # so that records cached under earlier versions keep matching
+        payload = json.dumps({"algo": _ALGO, "reflect": False}, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -158,85 +148,8 @@ def _record_key(rec: ExtremalRecord) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# avoidance checkers consulted by the search
+# interval-minor checker consulted by the search
 # ---------------------------------------------------------------------------
-
-
-class _SubmatrixChecker:
-    """Incremental ordinary-containment check: would adding `cell` to a set
-    that avoids P create an embedding of P?  Only embeddings through the new
-    cell are searched."""
-
-    def __init__(self, dims: tuple[int, ...], P: TensorMatrix):
-        self.dims = dims
-        self.pat = sorted(P.ones)
-        self.kdims = P.dims
-        self.d = len(dims)
-
-    def creates_containment(self, chosen: list[Coord], cell: Coord) -> bool:
-        if any(k > n for k, n in zip(self.kdims, self.dims)):
-            return False
-        dims, kdims, d = self.dims, self.kdims, self.d
-        pat = self.pat
-        maps: list[dict[int, int]] = [dict() for _ in range(d)]
-
-        def compatible(pc: Coord, hc: Coord) -> bool:
-            for ax in range(d):
-                p, v = pc[ax], hc[ax]
-                if not p <= v <= dims[ax] - (kdims[ax] - p):
-                    return False
-                got = maps[ax].get(p)
-                if got is not None:
-                    if got != v:
-                        return False
-                    continue
-                for q, w in maps[ax].items():
-                    if q < p:
-                        if v - w < p - q:
-                            return False
-                    elif w - v < q - p:
-                        return False
-            return True
-
-        def assign(pc: Coord, hc: Coord) -> list[int]:
-            touched = []
-            for ax in range(d):
-                if pc[ax] not in maps[ax]:
-                    maps[ax][pc[ax]] = hc[ax]
-                    touched.append(ax)
-            return touched
-
-        def rec(order: list[Coord], i: int) -> bool:
-            if i == len(order):
-                return True
-            pc = order[i]
-            for hc in chosen:
-                if not compatible(pc, hc):
-                    continue
-                touched = assign(pc, hc)
-                if rec(order, i + 1):
-                    return True
-                for ax in touched:
-                    del maps[ax][pc[ax]]
-            # the new cell may serve several pattern ones at once
-            if compatible(pc, cell):
-                touched = assign(pc, cell)
-                if rec(order, i + 1):
-                    return True
-                for ax in touched:
-                    del maps[ax][pc[ax]]
-            return False
-
-        for j, pinned in enumerate(self.pat):
-            if not compatible(pinned, cell):
-                continue
-            touched = assign(pinned, cell)
-            rest = pat[:j] + pat[j + 1 :]
-            if rec(rest, 0):
-                return True
-            for ax in touched:
-                del maps[ax][pinned[ax]]
-        return False
 
 
 class _MinorChecker:
@@ -311,7 +224,7 @@ class _Stop(Exception):
 
 def _branch_and_bound(
     dims: tuple[int, ...],
-    checker,
+    creates_containment,
     cfg: SearchConfig,
     seed_value: int,
     seed_ones: frozenset[Coord] | None,
@@ -319,24 +232,15 @@ def _branch_and_bound(
     cells = sorted(itertools.product(*(range(1, n + 1) for n in dims)))
     total = len(cells)
     best_value = max(seed_value, 0)
-    best_ones: frozenset[Coord] = (
-        seed_ones if seed_ones is not None else frozenset()
-    )
+    best_ones = seed_ones or frozenset()
     chosen: list[Coord] = []
     nodes = 0
     deadline = (
         time.perf_counter() + cfg.time_budget if cfg.time_budget is not None else None
     )
-    half = dims[0] // 2
-    lower_cells_after = [0] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        lower_cells_after[i] = lower_cells_after[i + 1] + (cells[i][0] <= half)
-    use_reflect = cfg.reflection_pruning and _reflect_axis1_invariant(checker)
-    lower_count = 0
-    upper_count = 0
 
     def rec(i: int) -> None:
-        nonlocal nodes, best_value, best_ones, lower_count, upper_count
+        nonlocal nodes, best_value, best_ones
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise _Stop
@@ -347,18 +251,10 @@ def _branch_and_bound(
             best_ones = frozenset(chosen)
         if i == total or len(chosen) + (total - i) <= best_value:
             return
-        if use_reflect and lower_count + lower_cells_after[i] < upper_count:
-            return
         cell = cells[i]
-        if not checker.creates_containment(chosen, cell):
+        if not creates_containment(chosen, cell):
             chosen.append(cell)
-            is_lower = cell[0] <= half
-            is_upper = cell[0] > dims[0] - half
-            lower_count += is_lower
-            upper_count += is_upper
             rec(i + 1)
-            lower_count -= is_lower
-            upper_count -= is_upper
             chosen.pop()
         rec(i + 1)
 
@@ -370,18 +266,6 @@ def _branch_and_bound(
     return best_value, best_ones, status, nodes
 
 
-def _reflect_axis1_invariant(checker) -> bool:
-    """The symmetry cut is sound only when reversing axis 1 maps avoiders to
-    avoiders, i.e. the pattern reversed along axis 1 equals the pattern."""
-    if isinstance(checker, _MinorChecker):
-        P = checker.B
-    else:
-        P = TensorMatrix(checker.kdims, checker.pat)
-    n1 = P.dims[0]
-    flipped = {(n1 + 1 - c[0],) + c[1:] for c in P.ones}
-    return flipped == set(P.ones)
-
-
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -391,12 +275,26 @@ def records_path(cache_dir: str | Path) -> Path:
     return Path(cache_dir) / RECORDS_FILENAME
 
 
+def _intact_length(data: bytes) -> int:
+    """Length of `data` without a torn tail: a last line, left by a write cut
+    short, that has no newline and is not valid JSON."""
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        return start
+    return len(data)
+
+
 def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
+    """Every record in the cache; a torn tail is skipped, not an error."""
     path = records_path(cache_dir)
     if not path.exists():
         return []
+    data = path.read_bytes()
+    lines = data[: _intact_length(data)].decode().splitlines()
     out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -410,8 +308,15 @@ def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
 def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:
     path = records_path(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as fh:
-        fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+    line = (json.dumps(rec.to_json(), sort_keys=True) + "\n").encode()
+    with path.open("a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        keep = _intact_length(data)
+        fh.truncate(keep)  # drop a torn tail so the new line does not fuse onto it
+        if keep and data[keep - 1 : keep] != b"\n":
+            line = b"\n" + line
+        fh.write(line)
 
 
 def _cached_lookup(cfg: SearchConfig, key: tuple):
@@ -456,12 +361,15 @@ def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecor
             seed.verify()
         seed_value, seed_ones = seed.value, seed.witness.ones
 
-    checker = (
-        _SubmatrixChecker(dims, P) if kind == "f" else _MinorChecker(dims, P)
-    )
+    if kind == "f":
+        # cells arrive in lex order, so the new cell is the lex-greatest one
+        def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
+            return _embedding(chosen + [cell], dims, P, through_last=True) is not None
+    else:
+        creates_containment = _MinorChecker(dims, P).creates_containment
     start = time.perf_counter()
     value, ones, status, _nodes = _branch_and_bound(
-        dims, checker, cfg, seed_value, seed_ones
+        dims, creates_containment, cfg, seed_value, seed_ones
     )
     elapsed = time.perf_counter() - start
     rec = ExtremalRecord(

@@ -7,14 +7,13 @@ side `ell` on every axis as an interval minor.  Above an explicit side
 threshold the avoidance probability drops below 1/ell; the chain of four
 expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
-All rational arithmetic that feeds inequality checks is exact (Fraction),
-never floating point.
+`probability_chain` compares floats; only `ChainReport.final_bound_exact` and
+`ratio_lower_bound` are exact rationals (Fraction).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -205,16 +204,15 @@ def avoid_probability(
     d: int,
     trials: int,
     seed: int,
-    threads: int = 1,
     node_budget: int | None = None,
 ) -> EstimateReport:
     """Fraction of seeded random permutations avoiding the all-ones side-ell
     pattern as an interval minor.
 
-    Trial t uses the seed stream (seed, t), so the result is identical for
-    any thread count and any execution order.  The estimate divides by all
-    trials: one whose check exhausts its node budget counts as undecided, not
-    avoiding.  All-ones targets spend no `node_budget`, so none is undecided.
+    Trials run one after another on one thread; trial t uses the seed stream
+    (seed, t).  The estimate divides by all trials: one whose check exhausts
+    its node budget counts as undecided, not avoiding.  All-ones targets
+    spend no `node_budget`, so none is undecided.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -222,8 +220,6 @@ def avoid_probability(
         raise RangeError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    if threads < 1:
-        raise PreconditionError(f"need threads >= 1, got {threads}")
     target = all_ones((ell,) * d)
 
     def one_trial(index: int) -> bool | None:
@@ -233,12 +229,7 @@ def avoid_probability(
         except BudgetExceededError:
             return None
 
-    if threads == 1:
-        outcomes = [one_trial(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-
+    outcomes = [one_trial(t) for t in range(trials)]
     avoid_count = sum(1 for o in outcomes if o is True)
     undecided = sum(1 for o in outcomes if o is None)
     p = avoid_count / trials

@@ -238,6 +238,31 @@ def test_records_verify_flags_tampering(files, tmp_path, capsys):
     assert json.loads(out)["failures"]
 
 
+def test_torn_cache_tail_is_dropped(files, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["extremal", "f", "--n", "3", "--pattern", files["p"], "--cache-dir", str(cache)]
+    assert run(capsys, argv)[0] == 0
+    path = cache / "records.jsonl"
+    with path.open("a") as fh:
+        fh.write('{"kind": "f", "n": 4')  # a write cut short
+    assert run(capsys, argv)[0] == 0  # served from the intact record
+    assert run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],
+                        "--cache-dir", str(cache)])[0] == 0
+    lines = path.read_text().split("\n")
+    assert lines[-1] == "" and [json.loads(x)["n"] for x in lines[:-1]] == [3, 2]
+    assert run(capsys, ["records", "verify", "--cache-dir", str(cache)])[0] == 0
+
+
+def test_malformed_cache_middle_line_exits_2(files, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["extremal", "f", "--n", "2", "--pattern", files["p"], "--cache-dir", str(cache)]
+    assert run(capsys, argv)[0] == 0
+    path = cache / "records.jsonl"
+    path.write_text('{"kind": "f", "n": 4\n' + path.read_text())
+    assert main(argv) == 2
+    assert "records.jsonl:1" in capsys.readouterr().err
+
+
 def test_records_cache_from_environment(files, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],
@@ -333,6 +358,17 @@ def test_threads_do_not_change_bytes(capsys):
 
 
 # -- usage errors -------------------------------------------------------------
+
+
+def test_threads_below_one_exits_2(files, capsys):
+    for argv in (
+        ["prob", "estimate", "--k", "12", "--ell", "2", "--d", "2",
+         "--trials", "10", "--seed", "1"],
+        ["extremal", "f", "--n", "2", "--pattern", files["p"]],
+    ):
+        assert main(argv + ["--threads", "1"]) == 0
+        assert main(argv + ["--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

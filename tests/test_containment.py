@@ -132,6 +132,36 @@ class TestContainsPattern:
                     assert h1[ax] == h2[ax]
 
 
+@st.composite
+def hosts_avoiding_before_last(draw):
+    """(dims, P, host): a lex-sorted host whose ones before the last avoid P."""
+    d = draw(st.sampled_from([2, 3]))
+    hdims = tuple(draw(st.integers(2, 6 - d)) for _ in range(d))
+    pdims = tuple(draw(st.integers(1, 5 - d)) for _ in range(d))
+    pcells = list(itertools.product(*(range(1, k + 1) for k in pdims)))
+    P = TensorMatrix(pdims, draw(st.sets(st.sampled_from(pcells), min_size=1)))
+    hcells = list(itertools.product(*(range(1, n + 1) for n in hdims)))
+    cells = sorted(draw(st.sets(st.sampled_from(hcells), min_size=1)))
+    host: list = []
+    for c in cells[:-1]:
+        if not oracles.contains_oracle(TensorMatrix(hdims, host + [c]), P):
+            host.append(c)
+    return hdims, P, host + [cells[-1]]
+
+
+class TestEmbeddingThroughLast:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hosts_avoiding_before_last())
+    def test_matches_brute_force(self, case):
+        dims, P, host = case
+        emb = containment._embedding(host, dims, P, through_last=True)
+        assert (emb is not None) == oracles.contains_oracle(TensorMatrix(dims, host), P)
+        if emb is not None:
+            assert [pc for pc, _ in emb] == P.ones_sorted()
+            assert host[-1] in [hc for _, hc in emb]
+            assert find_embedding(TensorMatrix(dims, host), P) is not None
+
+
 # -- grid witnesses -------------------------------------------------------------
 
 

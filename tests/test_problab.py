@@ -146,13 +146,6 @@ class TestAvoidProbability:
         b = avoid_probability(8, 2, 2, trials=200, seed=99)
         assert a == b
 
-    def test_thread_count_does_not_change_report(self):
-        reports = [
-            avoid_probability(8, 2, 2, trials=120, seed=5, threads=t)
-            for t in (1, 2, 4)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-
     def test_avoidance_rarer_for_larger_side(self):
         # statistical sanity with generous slack, not a sharp bound
         lo = avoid_probability(4, 2, 2, trials=500, seed=13)
@@ -203,8 +196,6 @@ class TestAvoidProbability:
             avoid_probability(0, 2, 2, trials=1, seed=1)
         with pytest.raises(RangeError):
             avoid_probability(3, 2, 1, trials=1, seed=1)
-        with pytest.raises(PreconditionError):
-            avoid_probability(3, 2, 2, trials=1, seed=1, threads=0)
 
     def test_report_invariants_enforced(self):
         with pytest.raises(StructureError):
