@@ -89,6 +89,10 @@ def _seed64(value: str) -> int:
     return seed
 
 
+def _int_list(value: str) -> list[int]:
+    return [int(tok) for tok in value.split(",") if tok]
+
+
 def _threads(value: str) -> int:
     threads = int(value)
     if threads < 1:
@@ -294,10 +298,9 @@ def _cmd_prob(args) -> int:
         return EXIT_OK if rep.strict else EXIT_NEGATIVE
     # estimate
     if args.sweep_k:
-        ks = [int(tok) for tok in args.sweep_k.split(",") if tok]
         reports = [
             _prob.avoid_probability(k, args.ell, args.d, args.trials, args.seed)
-            for k in ks
+            for k in args.sweep_k
         ]
         payload = {"reports": [r.to_json() for r in reports]}
         lines = ["k,ell,d,trials,avoid_count,undecided,estimate,conf99,seed"] + [
@@ -457,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(psub.add_parser("estimate"))
     p.add_argument("--k", type=int)
-    p.add_argument("--sweep-k", default=None, help="comma-separated k values (CSV out)")
+    p.add_argument(
+        "--sweep-k", type=_int_list, default=None, help="comma-separated k values (CSV out)"
+    )
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

@@ -84,15 +84,6 @@ class GridWitness:
     def d(self) -> int:
         return len(self._axes)
 
-    def flattened(self) -> tuple[int, ...]:
-        """Interval endpoints in axis order; the lex-least contract refers to
-        this sequence."""
-        out: list[int] = []
-        for intervals in self._axes:
-            for a, b in intervals:
-                out.extend((a, b))
-        return tuple(out)
-
     def check_against(self, A: TensorMatrix, B: TensorMatrix) -> None:
         """Structural validity for this host/pattern pair; raises StructureError."""
         if A.d != B.d:
@@ -488,8 +479,10 @@ def contains_interval_minor(
 ) -> GridWitness | None:
     """Lex-least grid witness that B is an interval minor of A, or None.
 
-    The returned witness is minimal in the flattened-endpoint lexicographic
-    order over all valid witnesses; an all-ones B is first decided sparsely.
+    The returned witness is lexicographically least among all valid
+    witnesses, comparing the interval endpoints read axis by axis (a1, b1,
+    a2, b2, ... of axis 1, then axis 2, ...); an all-ones B is first decided
+    sparsely.
     """
     if _allones_answer(A, B) is False:
         return None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .containment import _embedding, contains_pattern, has_interval_minor
-from .errors import PreconditionError, StructureError, VerificationError
+from .errors import PreconditionError, StructureError, TensorParseError, VerificationError
 from .tensor import (
     Coord,
     TensorMatrix,
@@ -135,7 +135,7 @@ class ExtremalRecord:
                 elapsed=float(data["elapsed"]),
                 fingerprint=data["fingerprint"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, TensorParseError) as exc:
             raise StructureError(f"malformed record: {exc}") from None
 
 
@@ -153,62 +153,38 @@ def _record_key(rec: ExtremalRecord) -> tuple:
 
 
 class _MinorChecker:
-    """Interval-minor avoidance check after adding a cell.
+    """Interval-minor check after adding a cell, as one partition scan.
 
-    All-ones targets get a precomputed partition scan (every block of some
-    full axis-partition must be nonempty); other targets rebuild the tensor
-    and rerun the exact decider.
+    B is an interval minor of the host iff some partition of every axis into
+    B's extent of consecutive parts leaves a 1 of the host in every block
+    that a 1 of B selects: witness intervals widen into a partition without
+    emptying a block, and every partition is itself a witness.  Each axis
+    gets one chart per partition, mapping a coordinate to the 1-based part
+    it falls in, so a product of charts maps each 1 of the host to a cell of
+    B; the scan tries every product until the images cover the ones of B.
+    An axis where B is longer than the host has no partition, so the scan
+    finds nothing.
     """
 
     def __init__(self, dims: tuple[int, ...], B: TensorMatrix):
-        self.dims = dims
-        self.B = B
-        self.d = len(dims)
-        self.all_ones = B.ones_count == B.cell_count
-        if self.all_ones:
-            ks = B.dims
-            self.fits = all(k <= n for k, n in zip(ks, dims))
-            self.need = B.ones_count
-            # per axis: list of cut tuples, each mapped to part-index lookup
-            self.axis_charts: list[list[list[int]]] = []
-            for n, k in zip(dims, ks):
-                charts = []
-                for mids in itertools.combinations(range(1, n), k - 1):
-                    bounds = mids + (n,)
-                    # chart[c-1] = 0-based part index of coordinate c
-                    chart = [bisect_left(bounds, c) for c in range(1, n + 1)]
-                    charts.append(chart)
-                self.axis_charts.append(charts)
-            self.ks = ks
-            self.full = (1 << self.need) - 1
+        self.need = frozenset(B.ones)
+        # per axis, per partition: chart[c-1] = the 1-based part of c
+        self.axis_charts = [
+            [
+                [bisect_left(mids + (n,), c) + 1 for c in range(1, n + 1)]
+                for mids in itertools.combinations(range(1, n), k - 1)
+            ]
+            for n, k in zip(dims, B.dims)
+        ]
 
     def creates_containment(self, chosen: list[Coord], cell: Coord) -> bool:
         ones = chosen + [cell]
-        if self.all_ones:
-            if not self.fits or len(ones) < self.need:
-                return False
-            return self._partition_scan(ones)
-        host = TensorMatrix(self.dims, ones)
-        return has_interval_minor(host, self.B)
-
-    def _partition_scan(self, ones: list[Coord]) -> bool:
-        ks = self.ks
         placings = [
-            [
-                [chart[c[ax] - 1] for c in ones]
-                for chart in self.axis_charts[ax]
-            ]
-            for ax in range(self.d)
+            [[chart[c[ax] - 1] for c in ones] for chart in charts]
+            for ax, charts in enumerate(self.axis_charts)
         ]
-        full = self.full
         for combo in itertools.product(*placings):
-            seen = 0
-            for i in range(len(ones)):
-                flat = 0
-                for ax in range(self.d):
-                    flat = flat * ks[ax] + combo[ax][i]
-                seen |= 1 << flat
-            if seen == full:
+            if self.need.issubset(zip(*combo)):
                 return True
         return False
 

@@ -372,8 +372,8 @@ def tensor_from_json(data: str | dict) -> TensorMatrix:
     ones = data.get("ones", [])
     try:
         return TensorMatrix(dims, [tuple(c) for c in ones])
-    except (StructureError, RangeError) as exc:
-        raise TensorParseError(str(exc)) from None
+    except (StructureError, RangeError, TypeError, ValueError) as exc:
+        raise TensorParseError(f"malformed JSON tensor: {exc}") from None
 
 
 def all_ones(dims: Iterable[int]) -> TensorMatrix:

@@ -403,6 +403,30 @@ def test_non_integer_allones_extent_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"dims": [2, 2], "ones": [[1, "x"]]}',
+        '{"dims": [2, 2], "ones": 5}',
+        '{"dims": 3}',
+    ],
+    ids=["non-integer-coordinate", "ones-not-a-list", "dims-not-a-list"],
+)
+def test_malformed_json_tensor_exits_2(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code = main(["contains", "--a", str(bad), "--p", "allones:1,1"])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
+def test_non_integer_sweep_k_exits_2(capsys):
+    code = main(["prob", "estimate", "--sweep-k", "2,x", "--ell", "2", "--d", "2",
+                 "--trials", "3", "--seed", "1"])
+    assert "--sweep-k" in capsys.readouterr().err
+    assert code == 2
+
+
 def test_malformed_witness_json_exits_2(tmp_path, capsys):
     perm = tmp_path / "cyc.tsr"
     perm.write_text(

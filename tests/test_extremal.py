@@ -1,13 +1,15 @@
 """Branch-and-bound extremal search against the naive all-matrices oracle."""
 
+import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from patternforge.extremal import (
     ExtremalRecord,
+    _MinorChecker,
     RatioPoint,
     SearchConfig,
     append_record,
@@ -114,6 +116,38 @@ class TestMinorExtremal:
         assert rec.value == want == 7
 
 
+@st.composite
+def checker_cases(draw):
+    """(host, pattern): d in {2, 3}, hosts up to 4x4 and 3x3x3 with at least
+    one 1, patterns up to 3 per axis with at least one 1, so both empty
+    cross-sections of B and extents of B beyond the host occur."""
+    d = draw(st.integers(2, 3))
+    hdims = tuple(draw(st.integers(1, 4 if d == 2 else 3)) for _ in range(d))
+    pdims = tuple(draw(st.integers(1, 3)) for _ in range(d))
+    hcells = list(itertools.product(*(range(1, n + 1) for n in hdims)))
+    pcells = list(itertools.product(*(range(1, k + 1) for k in pdims)))
+    hones = draw(st.lists(st.sampled_from(hcells), unique=True, min_size=1))
+    pones = draw(st.lists(st.sampled_from(pcells), unique=True, min_size=1))
+    return TensorMatrix(hdims, hones), TensorMatrix(pdims, pones)
+
+
+class TestMinorChecker:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(checker_cases())
+    # empty middle row and column of B
+    @example((all_ones((3, 3)), TensorMatrix((3, 3), [(1, 1), (3, 3)])))
+    @example((all_ones((2, 4)), TensorMatrix((3, 2), [(1, 1), (3, 2)])))  # k > n
+    # block (2, 1) holds the host's 1, block (1, 3) is the one B needs
+    @example((TensorMatrix((2, 4), [(2, 1)]), TensorMatrix((2, 3), [(1, 3)])))
+    @example((TensorMatrix((3, 3, 3), [(1, 1, 1), (3, 3, 3)]),
+              TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)])))
+    def test_matches_minor_oracle(self, case):
+        A, B = case
+        ones = A.ones_sorted()
+        got = _MinorChecker(A.dims, B).creates_containment(ones[:-1], ones[-1])
+        assert got == oracles.minor_oracle(A, B)
+
+
 class TestBudgets:
     def test_node_budget_gives_lower_bound_status(self):
         rec = max_ones_avoiding(4, IDENTITY2, SearchConfig(node_budget=5))
@@ -206,6 +240,15 @@ class TestCache:
         with pytest.raises(StructureError):
             load_records(tmp_path)
 
+    def test_malformed_witness_names_its_line(self, tmp_path):
+        append_record(tmp_path, max_ones_avoiding(2, IDENTITY2))
+        path = records_path(tmp_path)
+        data = json.loads(path.read_text())
+        data["witness"]["ones"] = [[3, 3]]  # outside the 2x2 extents
+        path.write_text(path.read_text() + json.dumps(data) + "\n")
+        with pytest.raises(StructureError, match=r"records\.jsonl:2: malformed record"):
+            load_records(tmp_path)
+
     def test_append_and_load_inverse(self, tmp_path):
         rec = max_ones_avoiding(2, IDENTITY2)
         append_record(tmp_path, rec)
@@ -292,11 +335,27 @@ FROZEN_WITNESSES = [
     ("m", 4, all_ones((2, 2)), [
         (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (3, 1), (4, 1),
     ]),
+    ("m", 4, TensorMatrix((2, 3), [(1, 1), (1, 2), (2, 2), (2, 3)]), [
+        (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1),
+        (4, 2),
+    ]),
+    ("m", 4, TensorMatrix((3, 3), [(1, 1), (2, 2), (3, 3)]), [
+        (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1),
+        (3, 2), (4, 1), (4, 2),
+    ]),
+    ("m", 3, TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)]), [
+        (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 2, 3),
+        (1, 3, 1), (1, 3, 2), (1, 3, 3), (2, 1, 1), (2, 1, 2), (2, 1, 3),
+        (2, 2, 1), (2, 3, 1), (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1),
+        (3, 3, 1),
+    ]),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, n, P, ones", FROZEN_WITNESSES, ids=["f5-I3", "f5-3x3", "f3-I2-d3", "m4-J2"]
+    "kind, n, P, ones",
+    FROZEN_WITNESSES,
+    ids=["f5-I3", "f5-3x3", "f3-I2-d3", "m4-J2", "m4-2x3", "m4-I3", "m3-I2-d3"],
 )
 def test_frozen_witnesses(kind, n, P, ones):
     run = max_ones_avoiding if kind == "f" else max_ones_avoiding_minor
