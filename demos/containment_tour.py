@@ -15,7 +15,6 @@ from patternforge import (
     antidiagonal,
     contains_interval_minor,
     contains_pattern,
-    contains_via_contraction_oracle,
     find_embedding,
     serialize_tensor,
     verify_witness,
@@ -61,11 +60,6 @@ def main():
     print("ordinary 1x2 all-ones containment:", contains_pattern(identity, pair))
     print("1x2 all-ones minor:",
           contains_interval_minor(identity, pair) is not None)
-
-    # the witness decision agrees with the literal contraction-sequence
-    # definition (breadth-first over all contractions) on small hosts
-    agree = contains_via_contraction_oracle(identity, pair)
-    print("contraction-sequence oracle agrees:", agree)
 
     # witnesses survive JSON round trips, so they can be shipped around
     again = GridWitness.from_json(W.to_json())

@@ -9,7 +9,6 @@ from .containment import (
     GridWitness,
     contains_interval_minor,
     contains_pattern,
-    contains_via_contraction_oracle,
     extend_to_partition,
     find_embedding,
     has_interval_minor,
@@ -97,7 +96,6 @@ __all__ = [
     "blowup_avoider",
     "contains_interval_minor",
     "contains_pattern",
-    "contains_via_contraction_oracle",
     "contract",
     "corner_ones",
     "corner_reduce",

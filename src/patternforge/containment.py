@@ -8,9 +8,11 @@ consecutive cross sections of A can produce a matrix containing B.  The
 decider here works with the equivalent grid-witness form: per-axis systems of
 disjoint increasing intervals such that every block selected by a 1 of B
 contains a 1 of A; all-ones targets are decided from the list of ones of A
-alone.  A literal breadth-first search over contraction sequences
-(`contains_via_contraction_oracle`) exists purely to cross-check that
-equivalence on tiny instances.
+alone.  Certificates are lex-least witnesses.  Widening an interval to the
+left, up to the end of the interval before it, keeps every required block
+non-empty and never raises the flattened endpoint tuple, so the lex-least
+witness has a_1 = 1 and a_{j+1} = b_j + 1 on every axis: the witness search
+places interval ends only.
 
 Both deciders are exact and deterministic; an optional node budget turns
 runaway searches into an explicit undecided error instead of a wrong answer.
@@ -20,21 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    PreconditionError,
-    RangeError,
-    StructureError,
-)
+from .errors import BudgetExceededError, RangeError, StructureError
 from .tensor import Coord, TensorMatrix
-
-# contains_via_contraction_oracle refuses hosts above this many cells
-ORACLE_CELL_LIMIT = 512
 
 
 class GridWitness:
@@ -391,11 +384,16 @@ def _witness_search(
 ) -> GridWitness | None:
     """Depth-first search for the flattened-lex-least grid witness.
 
-    Intervals are placed axis by axis in flattened order, both endpoints
-    ascending, so the first complete witness found is the lexicographic
-    minimum.  After each placement a relaxation is checked: every block a 1
-    of B requires, widened to the loosest range still-unplaced intervals
-    could occupy, must contain a 1 of A.
+    Only interval ends are placed: every interval starts right after the one
+    before it (a_1 = 1, a_{j+1} = b_j + 1).  Stretching any valid witness
+    into that form keeps its blocks non-empty and never raises its flattened
+    tuple, so the lex-least witness has that form, and larger starts would
+    only revisit subtrees that already failed.  Ends are placed axis by axis
+    in flattened order, each ascending, so the first complete witness found
+    is the lexicographic minimum; one budget node is one interval end tried.
+    After each placement a relaxation is checked: every block a 1 of B
+    requires, widened to the loosest range still-unplaced intervals could
+    occupy, must contain a 1 of A.
     """
     ns = A.dims
     ks = B.dims
@@ -404,7 +402,7 @@ def _witness_search(
         return None
     bones = B.ones_sorted()
     budget = _Budget(node_budget)
-    placed: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    ends: list[list[int]] = [[] for _ in range(d)]
 
     def feasible() -> bool:
         for bc in bones:
@@ -412,15 +410,13 @@ def _witness_search(
             hi = []
             for ax in range(d):
                 j = bc[ax]
-                row = placed[ax]
+                row = ends[ax]
                 if j <= len(row):
-                    a, b = row[j - 1]
+                    a = (row[j - 2] if j > 1 else 0) + 1
+                    b = row[j - 1]
                 else:
-                    prev_end = row[-1][1] if row else 0
-                    a = prev_end + (j - len(row) - 1) + 1
-                    b = ns[ax] - (ks[ax] - j)
-                    if a > b:
-                        return False
+                    a = (row[-1] if row else 0) + j - len(row)
+                    b = ns[ax] - ks[ax] + j
                 lo.append(a)
                 hi.append(b)
             if not A.any_in_box(tuple(lo), tuple(hi)):
@@ -429,21 +425,20 @@ def _witness_search(
 
     def place(ax: int, idx: int) -> GridWitness | None:
         if ax == d:
-            return GridWitness(placed)
+            return GridWitness(
+                [(a + 1, b) for a, b in zip([0] + row, row)] for row in ends
+            )
         if idx == ks[ax]:
             return place(ax + 1, 0)
-        n = ns[ax]
-        after = ks[ax] - idx - 1
-        prev_end = placed[ax][idx - 1][1] if idx else 0
-        for a in range(prev_end + 1, n - after + 1):
-            for b in range(a, n - after + 1):
-                budget.spend()
-                placed[ax].append((a, b))
-                if feasible():
-                    got = place(ax, idx + 1)
-                    if got is not None:
-                        return got
-                placed[ax].pop()
+        row = ends[ax]
+        for b in range((row[-1] if row else 0) + 1, ns[ax] - ks[ax] + idx + 2):
+            budget.spend()
+            row.append(b)
+            if feasible():
+                got = place(ax, idx + 1)
+                if got is not None:
+                    return got
+            row.pop()
         return None
 
     if not feasible():
@@ -481,42 +476,12 @@ def contains_interval_minor(
 
     The returned witness is lexicographically least among all valid
     witnesses, comparing the interval endpoints read axis by axis (a1, b1,
-    a2, b2, ... of axis 1, then axis 2, ...); an all-ones B is first decided
-    sparsely.
+    a2, b2, ... of axis 1, then axis 2, ...).  Stretching each interval left
+    to the end of the one before keeps the witness valid and never raises
+    that tuple, so the least witness has a1 = 1 and a_{j+1} = b_j + 1 and the
+    search tries interval ends only; node_budget counts the ends tried.  An
+    all-ones B is first decided sparsely.
     """
     if _allones_answer(A, B) is False:
         return None
     return _witness_search(A, B, node_budget)
-
-
-# ---------------------------------------------------------------------------
-# contraction-sequence oracle
-# ---------------------------------------------------------------------------
-
-
-def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:
-    """Literal definition of interval minors: breadth-first search over all
-    contraction sequences, testing ordinary containment of B at every stage.
-
-    Deliberately unoptimized; refuses hosts above ORACLE_CELL_LIMIT cells.
-    """
-    _check_same_d(A, B)
-    if A.cell_count > ORACLE_CELL_LIMIT:
-        raise PreconditionError(
-            f"oracle limited to {ORACLE_CELL_LIMIT} cells, host has {A.cell_count}"
-        )
-    from .tensor import contract
-
-    seen = {A}
-    queue = deque([A])
-    while queue:
-        M = queue.popleft()
-        if contains_pattern(M, B):
-            return True
-        for ax in range(1, M.d + 1):
-            for lo in range(1, M.dims[ax - 1]):
-                nxt = contract(M, ax, lo, lo + 1)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return False

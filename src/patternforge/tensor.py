@@ -12,6 +12,7 @@ Coordinates are 1-based everywhere, including serialization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable, Iterator
@@ -371,7 +372,10 @@ def tensor_from_json(data: str | dict) -> TensorMatrix:
     dims = data["dims"]
     ones = data.get("ones", [])
     try:
-        return TensorMatrix(dims, [tuple(c) for c in ones])
+        # int() would truncate floats and read booleans and digit strings
+        if not set(map(type, itertools.chain(dims, *ones))) <= {int}:
+            raise TypeError("extents and coordinates must be JSON integers")
+        return TensorMatrix(dims, ones)
     except (StructureError, RangeError, TypeError, ValueError) as exc:
         raise TensorParseError(f"malformed JSON tensor: {exc}") from None
 
@@ -381,7 +385,5 @@ def all_ones(dims: Iterable[int]) -> TensorMatrix:
     dims = tuple(int(n) for n in dims)
     if any(n < 1 for n in dims):
         raise RangeError(f"extents must be positive, got {dims}")
-    import itertools
-
     ones = itertools.product(*(range(1, n + 1) for n in dims))
     return TensorMatrix(dims, ones)

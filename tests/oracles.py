@@ -2,14 +2,21 @@
 
 Everything here trades speed for being an independent, direct transcription
 of the definitions: full enumeration of index maps, interval systems, and
-whole matrix families.  Package internals are never reused.
+whole matrix families.  Package internals are never reused; the contraction
+oracle calls only the public `contains_pattern` and `contract`.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
-from patternforge.tensor import TensorMatrix
+from patternforge.containment import contains_pattern
+from patternforge.errors import PreconditionError
+from patternforge.tensor import TensorMatrix, contract
+
+# contains_via_contraction_oracle refuses hosts above this many cells
+ORACLE_CELL_LIMIT = 512
 
 
 def dense(A: TensorMatrix) -> np.ndarray:
@@ -115,3 +122,29 @@ def max_ones_oracle(dims, avoids) -> tuple[int, TensorMatrix]:
         if M.ones_count > best_val and avoids(M):
             best_val, best_mat = M.ones_count, M
     return best_val, best_mat
+
+
+def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:
+    """Literal definition of interval minors: breadth-first search over all
+    contraction sequences, testing ordinary containment of B at every stage.
+
+    Deliberately unoptimized; refuses hosts above ORACLE_CELL_LIMIT cells.
+    """
+    assert A.d == B.d
+    if A.cell_count > ORACLE_CELL_LIMIT:
+        raise PreconditionError(
+            f"oracle limited to {ORACLE_CELL_LIMIT} cells, host has {A.cell_count}"
+        )
+    seen = {A}
+    queue = deque([A])
+    while queue:
+        M = queue.popleft()
+        if contains_pattern(M, B):
+            return True
+        for ax in range(1, M.d + 1):
+            for lo in range(1, M.dims[ax - 1]):
+                nxt = contract(M, ax, lo, lo + 1)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return False

@@ -18,7 +18,6 @@ from patternforge import (
     blowup_avoider,
     avoid_probability,
     contains_pattern,
-    contains_via_contraction_oracle,
     corner_reduce,
     has_interval_minor,
     max_ones_avoiding,
@@ -29,7 +28,12 @@ from patternforge import (
 )
 from patternforge.cli import main
 
-from oracles import all_tensors, contains_oracle, max_ones_oracle
+from oracles import (
+    all_tensors,
+    contains_oracle,
+    contains_via_contraction_oracle,
+    max_ones_oracle,
+)
 
 IDENTITY2 = TensorMatrix((2, 2), [(1, 1), (2, 2)])
 ANTI2 = TensorMatrix((2, 2), [(1, 2), (2, 1)])

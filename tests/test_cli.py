@@ -89,6 +89,16 @@ def test_minor_budget_exhaustion_exits_3(capsys):
     assert code == 3
 
 
+def test_minor_budget_counts_interval_ends(tmp_path, files, capsys):
+    # 59 interval ends show that antidiagonal(6, 2) avoids the 2x2 identity
+    host = tmp_path / "anti6.tsr"
+    host.write_text(serialize_tensor(antidiagonal(6, 2)))
+    code, _ = run(
+        capsys, ["minor", "--a", str(host), "--b", files["p"], "--budget-nodes", "100"]
+    )
+    assert code == 1
+
+
 # -- transforms ---------------------------------------------------------------
 
 
@@ -409,8 +419,12 @@ def test_non_integer_allones_extent_exits_2(capsys):
         '{"dims": [2, 2], "ones": [[1, "x"]]}',
         '{"dims": [2, 2], "ones": 5}',
         '{"dims": 3}',
+        '{"dims": [2.5, 2]}',
+        '{"dims": [2, 2], "ones": [[1.9, 1]]}',
+        '{"dims": [2, 2], "ones": [[true, 1]]}',
     ],
-    ids=["non-integer-coordinate", "ones-not-a-list", "dims-not-a-list"],
+    ids=["non-integer-coordinate", "ones-not-a-list", "dims-not-a-list",
+         "float-extent", "float-coordinate", "bool-coordinate"],
 )
 def test_malformed_json_tensor_exits_2(tmp_path, capsys, payload):
     bad = tmp_path / "bad.json"

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from oracles import contains_via_contraction_oracle
 from patternforge import containment
 from patternforge.construct import identity_permutation, random_permutation
 from patternforge.containment import (
     GridWitness,
     contains_interval_minor,
     contains_pattern,
-    contains_via_contraction_oracle,
     extend_to_partition,
     find_embedding,
     has_interval_minor,
@@ -347,6 +347,58 @@ class TestContainsIntervalMinor:
             A = oracles.from_dense(mask.astype(np.int8))
             B = all_ones((2, 2, 2))
             assert has_interval_minor(A, B) == oracles.minor_oracle(A, B)
+
+
+P2413 = TensorMatrix((4, 4), [(1, 2), (2, 4), (3, 1), (4, 3)])
+WITNESS_TARGETS = {
+    "J2": all_ones((2, 2)),
+    "J3": all_ones((3, 3)),
+    "J2d3": all_ones((2, 2, 2)),
+    "P2413": P2413,
+}
+
+# contains_interval_minor(random_permutation(k, d, SeedSequence([1506, t])), B)
+# as (target, k, d, t, W.axes or None), recorded with a search that tried every
+# interval start as well as every end; hosts beyond the enumeration oracle
+FROZEN_WITNESSES = [
+    ("J2", 10, 2, 0, (((1, 3), (4, 5)), ((1, 6), (7, 9)))),
+    ("J2", 10, 2, 1, (((1, 2), (3, 8)), ((1, 8), (9, 10)))),
+    ("J2", 11, 2, 1, (((1, 2), (3, 6)), ((1, 7), (8, 10)))),
+    ("J2", 11, 2, 3, (((1, 2), (3, 7)), ((1, 3), (4, 5)))),
+    ("J2", 12, 2, 0, (((1, 2), (3, 4)), ((1, 7), (8, 11)))),
+    ("J2", 12, 2, 4, (((1, 2), (3, 4)), ((1, 7), (8, 9)))),
+    ("J3", 9, 2, 0, None),
+    ("J3", 9, 2, 11, (((1, 3), (4, 6), (7, 9)), ((1, 3), (4, 6), (7, 9)))),
+    ("J2d3", 8, 3, 0, None),
+    ("J2d3", 8, 3, 1, (((1, 4), (5, 8)), ((1, 4), (5, 8)), ((1, 4), (5, 8)))),
+    ("P2413", 8, 2, 0, None),
+    ("P2413", 8, 2, 1, (((1, 2), (3, 3), (4, 4), (5, 5)), ((1, 1), (2, 4), (5, 5), (6, 6)))),
+    ("P2413", 8, 2, 3, (((1, 1), (2, 2), (3, 6), (7, 7)), ((1, 1), (2, 2), (3, 5), (6, 8)))),
+]
+
+
+class TestWitnessSearch:
+    @pytest.mark.parametrize(
+        "case", FROZEN_WITNESSES, ids=lambda c: "{}-k{}-d{}-t{}".format(*c[:4])
+    )
+    def test_frozen_lex_least_witnesses(self, case):
+        target, k, d, t, axes = case
+        A = random_permutation(k, d, np.random.SeedSequence([1506, t])).matrix
+        W = contains_interval_minor(A, WITNESS_TARGETS[target])
+        assert (None if W is None else W.axes) == axes
+        if W is not None:
+            assert verify_witness(A, WITNESS_TARGETS[target], W)
+
+    def test_j3_in_random_permutation_within_1000_ends(self):
+        # one budget node is one interval end tried; 791 suffice here
+        A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
+        W = contains_interval_minor(A, all_ones((3, 3)), node_budget=1000)
+        assert W.axes == (((1, 3), (4, 7), (8, 10)), ((1, 6), (7, 9), (10, 12)))
+
+    def test_antidiagonal_avoids_identity_within_100_ends(self):
+        A = antidiagonal(6, 2)
+        assert contains_interval_minor(A, IDENTITY2, node_budget=100) is None
+        assert not has_interval_minor(A, IDENTITY2, node_budget=100)
 
 
 # -- all-ones decider ------------------------------------------------------------

@@ -357,6 +357,18 @@ class TestJsonFormat:
             tensor_from_json({"dims": [2, 2], "ones": [[3, 1]]})
         with pytest.raises(TensorParseError):
             tensor_from_json({"dims": [2, 2], "ones": [[1, 1], [1, 1]]})
+        # int() would truncate or coerce these numbers instead of rejecting them
+        for payload in (
+            {"dims": [2.5, 2]},
+            {"dims": [2.0, 2]},
+            {"dims": [True, 2]},
+            {"dims": ["2", 2]},
+            {"dims": [2, 2], "ones": [[1.9, 1]]},
+            {"dims": [2, 2], "ones": [[True, 1]]},
+            {"dims": [2, 2], "ones": ["12"]},
+        ):
+            with pytest.raises(TensorParseError):
+                tensor_from_json(payload)
 
 
 class TestAllOnes:
