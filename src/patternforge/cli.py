@@ -69,15 +69,22 @@ def _load_tensor(source: str) -> TensorMatrix:
             return all_ones(int(tok) for tok in toks)
         except ValueError:
             raise TensorParseError(f"non-integer extent in shorthand {source!r}") from None
-    text = Path(source).read_text()
+    text = _read_text(source)
     if text.lstrip().startswith("{"):
         return tensor_from_json(text)
     return parse_tensor(text)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_witness(path: str) -> GridWitness:
     try:
-        return GridWitness.from_json(json.loads(Path(path).read_text()))
+        return GridWitness.from_json(json.loads(_read_text(path)))
     except json.JSONDecodeError as exc:
         raise StructureError(f"witness file {path}: {exc}") from None
 
@@ -93,11 +100,11 @@ def _int_list(value: str) -> list[int]:
     return [int(tok) for tok in value.split(",") if tok]
 
 
-def _threads(value: str) -> int:
-    threads = int(value)
-    if threads < 1:
-        raise argparse.ArgumentTypeError("need --threads >= 1")
-    return threads
+def _positive(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {number}")
+    return number
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument(
             "--threads",
-            type=_threads,
+            type=_positive,
             default=1,
             help="accepted for compatibility; work runs on one thread; "
             "output is identical for any value",
@@ -374,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("contains", help="ordinary submatrix containment"))
     p.add_argument("--a", required=True, help="host tensor (file or allones:...)")
     p.add_argument("--p", required=True, help="pattern tensor")
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_positive, default=None)
     p.set_defaults(func=_cmd_contains)
 
     p = common(sub.add_parser("minor", help="interval-minor containment with witness"))
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_positive, default=None)
     p.set_defaults(func=_cmd_minor)
 
     p = common(sub.add_parser("contract", help="contract consecutive cross sections"))
@@ -439,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = common(esub.add_parser(kind, help=f"max ones avoiding ({blurb})"))
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--pattern", required=True)
-        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--budget-nodes", type=_positive, default=None)
         p.add_argument("--budget-secs", type=float, default=None)
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-verify", action="store_true")
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--kind", choices=("f", "m"), default="f")
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_positive, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=_cmd_ratio_seq)

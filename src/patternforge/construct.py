@@ -5,8 +5,8 @@ the corner reduction procedure.
 The two avoiders are checked constructions: after building the output they
 re-verify the avoidance claim with the exact containment deciders and raise
 VerificationError if it fails, since a failure would mean a bug here or in
-the deciders, never bad input.  Verification can be skipped for outputs too
-large to check exactly.
+the deciders, never bad input.  Both checks read only the list of ones of the
+output; verification is skipped only when the caller asks (verify=False).
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .tensor import (
     corner_ones,
     kronecker,
 )
-
-# outputs above this many cells skip post-construction verification
-VERIFY_CELL_LIMIT = 1 << 16
 
 
 def identity_permutation(k: int, d: int) -> PermutationTensor:
@@ -96,7 +93,7 @@ def blowup_avoider(
         )
     out = kronecker(antidiagonal(s, d), N)
     target = all_ones((k,) * d)
-    if verify and out.cell_count <= VERIFY_CELL_LIMIT:
+    if verify:
         if has_interval_minor(out, target):
             raise VerificationError(
                 "blow-up output contains the side-%d all-ones pattern it must "
@@ -151,7 +148,7 @@ def scale_avoider(
     )
     M = _reflect(antidiagonal(s, A.d), mirror)
     out = kronecker(M, A)
-    if verify and out.cell_count <= VERIFY_CELL_LIMIT:
+    if verify:
         bad = find_embedding(out, P)
         if bad is not None:
             raise VerificationError(

@@ -268,15 +268,14 @@ def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
     if not path.exists():
         return []
     data = path.read_bytes()
-    lines = data[: _intact_length(data)].decode().splitlines()
+    lines = data[: _intact_length(data)].splitlines()
     out = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
-            out.append(ExtremalRecord.from_json(json.loads(line)))
-        except (json.JSONDecodeError, StructureError) as exc:
+            out.append(ExtremalRecord.from_json(json.loads(line.decode())))
+        except (UnicodeDecodeError, json.JSONDecodeError, StructureError) as exc:
             raise StructureError(f"{path}:{lineno}: {exc}") from None
     return out
 

@@ -21,13 +21,7 @@ import numpy as np
 
 from .construct import random_permutation
 from .containment import has_interval_minor
-from .errors import (
-    BudgetExceededError,
-    OrderingError,
-    PreconditionError,
-    RangeError,
-    StructureError,
-)
+from .errors import OrderingError, PreconditionError, RangeError, StructureError
 from .tensor import all_ones
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
@@ -173,8 +167,8 @@ class EstimateReport:
     d: int
     trials: int
     avoid_count: int
-    undecided: int  # budget-exhausted trials; all-ones targets spend no budget
-    estimate: float  # avoid_count / trials, undecided trials included
+    undecided: int  # always 0: all-ones targets are decided without a budget
+    estimate: float  # avoid_count / trials
     conf99: float  # normal-approximation radius at 99%
     seed: int
 
@@ -204,15 +198,12 @@ def avoid_probability(
     d: int,
     trials: int,
     seed: int,
-    node_budget: int | None = None,
 ) -> EstimateReport:
     """Fraction of seeded random permutations avoiding the all-ones side-ell
     pattern as an interval minor.
 
     Trials run one after another on one thread; trial t uses the seed stream
-    (seed, t).  The estimate divides by all trials: one whose check exhausts
-    its node budget counts as undecided, not avoiding.  All-ones targets
-    spend no `node_budget`, so none is undecided.
+    (seed, t).  Each trial is decided exactly, so `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -222,16 +213,12 @@ def avoid_probability(
         raise RangeError(f"need d >= 2, got {d}")
     target = all_ones((ell,) * d)
 
-    def one_trial(index: int) -> bool | None:
-        perm = random_permutation(k, d, np.random.SeedSequence([seed, index]))
-        try:
-            return not has_interval_minor(perm.matrix, target, node_budget)
-        except BudgetExceededError:
-            return None
-
-    outcomes = [one_trial(t) for t in range(trials)]
-    avoid_count = sum(1 for o in outcomes if o is True)
-    undecided = sum(1 for o in outcomes if o is None)
+    avoid_count = sum(
+        not has_interval_minor(
+            random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix, target
+        )
+        for t in range(trials)
+    )
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)
     return EstimateReport(
@@ -240,7 +227,7 @@ def avoid_probability(
         d=d,
         trials=trials,
         avoid_count=avoid_count,
-        undecided=undecided,
+        undecided=0,
         estimate=p,
         conf99=radius,
         seed=seed,

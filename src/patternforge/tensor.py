@@ -1,11 +1,10 @@
 """d-dimensional 0-1 matrices and their structural operations.
 
 The one type everything else builds on is :class:`TensorMatrix`: an immutable
-d-dimensional zero-one matrix with arbitrary per-axis extents, stored as a set
-of 1-based coordinate tuples.  Small matrices (at most ``DENSE_CELL_LIMIT``
-cells) additionally cache a dense numpy array plus an integral image so that
-"is there a one in this box" queries are O(2^d); larger matrices fall back to
-scanning the coordinate set.  Both storage modes behave identically.
+d-dimensional zero-one matrix with arbitrary per-axis extents, stored as its
+ones, a set of 1-based coordinate tuples.  Box queries bisect the ones, sorted
+lexicographically once on first use, for the slab of the box on axis 1 and
+check only that slab; no query's time or memory grows with the cell count.
 
 Coordinates are 1-based everywhere, including serialization.
 """
@@ -15,16 +14,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
+from operator import le
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import RangeError, StructureError, TensorParseError
 
 Coord = tuple[int, ...]
-
-# Above this many cells no dense array is cached; queries scan the ones set.
-DENSE_CELL_LIMIT = 1 << 24
 
 
 class TensorMatrix:
@@ -37,7 +33,7 @@ class TensorMatrix:
     threads.  All operations on them are pure functions.
     """
 
-    __slots__ = ("_dims", "_ones", "_integral")
+    __slots__ = ("_dims", "_ones", "_sorted")
 
     def __init__(self, dims: Iterable[int], ones: Iterable[Coord] = ()):
         dims = tuple(int(n) for n in dims)
@@ -60,7 +56,7 @@ class TensorMatrix:
             seen.add(coord)
         self._dims = dims
         self._ones = frozenset(seen)
-        self._integral: np.ndarray | None = None
+        self._sorted: list[Coord] | None = None  # the ones in lex order, on first use
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -86,8 +82,14 @@ class TensorMatrix:
     def cell_count(self) -> int:
         return math.prod(self._dims)
 
+    def _lex(self) -> list[Coord]:
+        if self._sorted is None:
+            self._sorted = sorted(self._ones)
+        return self._sorted
+
     def ones_sorted(self) -> list[Coord]:
-        return sorted(self._ones)
+        """The ones in lex order, as a fresh list the caller may change."""
+        return list(self._lex())
 
     def has_one(self, coord: Coord) -> bool:
         return tuple(coord) in self._ones
@@ -106,39 +108,18 @@ class TensorMatrix:
 
     # -- box queries ---------------------------------------------------
 
-    def integral_image(self) -> np.ndarray | None:
-        """Cumulative-count array of shape (n_1+1, ..., n_d+1), or None when
-        the tensor is too large for dense caching."""
-        if self._integral is None:
-            if self.cell_count > DENSE_CELL_LIMIT:
-                return None
-            arr = np.zeros([n + 1 for n in self._dims], dtype=np.int64)
-            for coord in self._ones:
-                arr[coord] = 1
-            for axis in range(self.d):
-                np.cumsum(arr, axis=axis, out=arr)
-            self._integral = arr
-        return self._integral
-
     def count_in_box(self, lo: Coord, hi: Coord) -> int:
-        """Number of ones with lo_l <= i_l <= hi_l on every axis (inclusive)."""
-        if any(a > b for a, b in zip(lo, hi)):
-            return 0
-        img = self.integral_image()
-        if img is None:
-            return sum(
-                1
-                for coord in self._ones
-                if all(a <= c <= b for c, a, b in zip(coord, lo, hi))
-            )
-        total = 0
-        for mask in range(1 << self.d):
-            idx = tuple(
-                (lo[ax] - 1) if (mask >> ax) & 1 else hi[ax] for ax in range(self.d)
-            )
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            total += sign * int(img[idx])
-        return total
+        """Number of ones with lo_l <= i_l <= hi_l on every axis (inclusive).
+
+        Two bisections find the lex-sorted ones with lo_1 <= i_1 <= hi_1; only
+        those are checked on every axis.
+        """
+        ones = self._lex()
+        start = bisect_left(ones, (lo[0],))
+        stop = bisect_left(ones, (hi[0] + 1,), start)
+        return sum(
+            1 for c in ones[start:stop] if all(map(le, lo, c)) and all(map(le, c, hi))
+        )
 
     def any_in_box(self, lo: Coord, hi: Coord) -> bool:
         return self.count_in_box(lo, hi) > 0

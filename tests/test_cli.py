@@ -458,3 +458,49 @@ def test_seed_must_fit_64_bits(capsys):
                  "--seed", str(2**64)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-4"])
+def test_budget_nodes_below_one_exits_2(files, capsys, budget):
+    for argv in (
+        ["contains", "--a", files["a"], "--p", files["p"]],
+        ["minor", "--a", files["a"], "--b", files["p"]],
+        ["extremal", "f", "--n", "2", "--pattern", files["p"]],
+        ["ratio-seq", "--pattern", files["p"], "--n-from", "2", "--n-to", "2"],
+    ):
+        assert main(argv + ["--budget-nodes", budget]) == 2
+        assert "--budget-nodes" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe\x00d\x00i\x00m\x00s"
+
+
+def test_non_utf8_tensor_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.tsr"
+    bad.write_bytes(NOT_UTF8)
+    code = main(["contains", "--a", str(bad), "--p", "allones:1,1"])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
+def test_non_utf8_witness_file_exits_2(tmp_path, capsys):
+    perm = tmp_path / "cyc.tsr"
+    perm.write_text(
+        serialize_tensor(TensorMatrix((4, 4), [(1, 2), (2, 4), (3, 1), (4, 3)]))
+    )
+    wit = tmp_path / "w.json"
+    wit.write_bytes(NOT_UTF8)
+    code = main(["construct", "corner-reduce", "--p", str(perm), "--witness", str(wit)])
+    assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
+def test_non_utf8_record_line_exits_2(files, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    assert main(["extremal", "f", "--n", "2", "--pattern", files["p"],
+                 "--cache-dir", str(cache)]) == 0
+    path = cache / "records.jsonl"
+    path.write_bytes(b'{"kind": "\xff"}\n' + path.read_bytes())
+    code = main(["records", "list", "--cache-dir", str(cache)])
+    assert "records.jsonl:1" in capsys.readouterr().err
+    assert code == 2

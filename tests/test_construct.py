@@ -126,17 +126,19 @@ class TestBlowupAvoider:
 
     def test_verification_failure_raises(self, monkeypatch):
         # force the post-check to see a violation: a real one cannot occur
-        calls = {"n": 0}
         real = construct.has_interval_minor
 
         def lying(A, B, node_budget=None):
-            calls["n"] += 1
-            return calls["n"] > 1 or real(A, B, node_budget)
+            # the 2x2 inputs pass the precondition; every larger output fails
+            return A.dims[0] > 2 or real(A, B, node_budget)
 
         monkeypatch.setattr(construct, "has_interval_minor", lying)
         N = TensorMatrix((2, 2), [(1, 1), (1, 2), (2, 1)])
         with pytest.raises(VerificationError):
             blowup_avoider(2, N, 3)
+        # 258 x 258 cells, more than the old 2^16-cell verification limit
+        with pytest.raises(VerificationError):
+            blowup_avoider(129, IDENTITY2, 3)
 
     def test_verify_flag_skips_check(self, monkeypatch):
         calls = {"n": 0}

@@ -249,6 +249,13 @@ class TestCache:
         with pytest.raises(StructureError, match=r"records\.jsonl:2: malformed record"):
             load_records(tmp_path)
 
+    def test_non_utf8_line_names_its_line(self, tmp_path):
+        append_record(tmp_path, max_ones_avoiding(2, IDENTITY2))
+        path = records_path(tmp_path)
+        path.write_bytes(path.read_bytes() + b'{"kind": "\xff"}\n')
+        with pytest.raises(StructureError, match=r"records\.jsonl:2: "):
+            load_records(tmp_path)
+
     def test_append_and_load_inverse(self, tmp_path):
         rec = max_ones_avoiding(2, IDENTITY2)
         append_record(tmp_path, rec)

@@ -11,7 +11,6 @@ import pytest
 
 import patternforge.probability as probability
 from patternforge.errors import (
-    BudgetExceededError,
     OrderingError,
     PreconditionError,
     RangeError,
@@ -172,22 +171,6 @@ class TestAvoidProbability:
             check=True,
         )
         assert out.stdout.strip() == "False"
-
-    def test_undecided_trials_are_counted_and_excluded(self, monkeypatch):
-        calls = {"n": 0}
-        real = probability.has_interval_minor
-
-        def flaky(A, B, node_budget=None):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise BudgetExceededError("forced")
-            return real(A, B, node_budget)
-
-        monkeypatch.setattr(probability, "has_interval_minor", flaky)
-        rep = avoid_probability(2, 2, 2, trials=9, seed=0)
-        assert rep.undecided == 3
-        assert rep.avoid_count == 6
-        assert rep.estimate == pytest.approx(6 / 9)
 
     def test_validation(self):
         with pytest.raises(PreconditionError):

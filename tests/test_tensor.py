@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,29 +78,53 @@ class TestTensorMatrix:
 
     def test_count_in_box_matches_scan(self):
         rng = np.random.default_rng(7)
-        dims = (4, 3, 5)
-        coords = [
-            tuple(int(x) for x in c)
-            for c in np.argwhere(rng.random(dims) < 0.3) + 1
-        ]
-        A = TensorMatrix(dims, coords)
-        for _ in range(50):
-            lo = tuple(int(rng.integers(1, n + 1)) for n in dims)
-            hi = tuple(int(rng.integers(l, n + 1)) for l, n in zip(lo, dims))
-            expected = sum(
-                1 for c in A.ones if all(a <= x <= b for x, a, b in zip(c, lo, hi))
-            )
-            assert A.count_in_box(lo, hi) == expected
-            assert A.any_in_box(lo, hi) == (expected > 0)
+        for d, _ in itertools.product(range(1, 5), range(20)):
+            dims = tuple(int(n) for n in rng.integers(1, 6, size=d))
+            coords = [
+                tuple(int(x) for x in c)
+                for c in np.argwhere(rng.random(dims) < 0.3) + 1
+            ]
+            A = TensorMatrix(dims, coords)
+            for _ in range(25):
+                # boxes may reach past the extents and may have lo > hi
+                lo = tuple(int(rng.integers(0, n + 2)) for n in dims)
+                hi = tuple(int(rng.integers(0, n + 2)) for n in dims)
+                expected = sum(
+                    1 for c in A.ones if all(a <= x <= b for x, a, b in zip(c, lo, hi))
+                )
+                assert A.count_in_box(lo, hi) == expected
+                assert A.any_in_box(lo, hi) == (expected > 0)
 
-    def test_count_in_box_sparse_path(self, monkeypatch):
-        import patternforge.tensor as T
-
-        monkeypatch.setattr(T, "DENSE_CELL_LIMIT", 0)
+    def test_count_in_box_sparse_path(self):
         A = TensorMatrix((4, 4), [(1, 1), (2, 3), (4, 4)])
-        assert A.integral_image() is None
         assert A.count_in_box((1, 1), (2, 3)) == 2
-        assert A.count_in_box((3, 1), (3, 4)) == 0
+        assert A.count_in_box((3, 1), (3, 4)) == 0  # no one has axis-1 value 3
+        assert A.count_in_box((2, 1), (2, 2)) == 0  # ends before the slab's one
+        assert A.count_in_box((2, 4), (4, 4)) == 1  # starts after the slab's one
+        B = TensorMatrix((3, 3), [(1, 1), (3, 3)])
+        assert B.count_in_box((0, 0), (3, 3)) == 2  # boxes may leave the extents
+        assert B.count_in_box((1, 1), (4, 4)) == 2
+
+    def test_box_query_allocates_nothing_per_cell(self):
+        A = TensorMatrix((4000, 4000), [(i, i) for i in range(1, 4000, 400)])
+        tracemalloc.start()
+        try:
+            assert A.count_in_box((1, 1), (4000, 4000)) == 10
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ones_sorted_is_a_fresh_list(self):
+        A = TensorMatrix((3, 3), [(3, 1), (1, 2), (2, 2)])
+        assert A.count_in_box((1, 1), (2, 2)) == 2
+        got = A.ones_sorted()
+        assert got == [(1, 2), (2, 2), (3, 1)]
+        got.pop()
+        got.insert(0, (1, 1))
+        assert A.ones_sorted() == [(1, 2), (2, 2), (3, 1)]
+        assert A.count_in_box((1, 1), (2, 2)) == 2
+        assert A.count_in_box((3, 1), (3, 1)) == 1
 
     def test_empty_box(self):
         A = TensorMatrix((3, 3), [(2, 2)])
