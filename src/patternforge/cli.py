@@ -241,6 +241,10 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_ratio_seq(args) -> int:
+    if args.n_from > args.n_to:
+        print(f"error: empty range of n: --n-from {args.n_from} > --n-to {args.n_to}",
+              file=sys.stderr)
+        return EXIT_USAGE
     P = _load_tensor(args.pattern)
     cfg = SearchConfig(
         node_budget=args.budget_nodes,
@@ -466,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     psub = pp.add_subparsers(dest="what", required=True)
 
     p = common(psub.add_parser("estimate"))
-    p.add_argument("--k", type=int)
-    p.add_argument(
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--k", type=int)
+    g.add_argument(
         "--sweep-k", type=_int_list, default=None, help="comma-separated k values (CSV out)"
     )
     p.add_argument("--ell", type=int, required=True)

@@ -17,6 +17,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .containment import _embedding, contains_pattern, has_interval_minor
 from .errors import PreconditionError, StructureError, TensorParseError, VerificationError
@@ -124,12 +125,17 @@ class ExtremalRecord:
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalRecord":
         try:
+            # int() would truncate floats and read booleans and digit strings
+            if not {type(data[f]) for f in ("n", "d", "value")} <= {int}:
+                raise TypeError("n, d and value must be JSON integers")
+            if not all(isinstance(data[f], dict) for f in ("pattern", "witness")):
+                raise TypeError("pattern and witness must be JSON objects")
             return cls(
                 kind=data["kind"],
-                n=int(data["n"]),
-                d=int(data["d"]),
+                n=data["n"],
+                d=data["d"],
                 pattern=tensor_from_json(data["pattern"]),
-                value=int(data["value"]),
+                value=data["value"],
                 witness=tensor_from_json(data["witness"]),
                 status=data["status"],
                 elapsed=float(data["elapsed"]),
@@ -137,14 +143,6 @@ class ExtremalRecord:
             )
         except (KeyError, TypeError, ValueError, TensorParseError) as exc:
             raise StructureError(f"malformed record: {exc}") from None
-
-
-def _canonical_pattern(P: TensorMatrix) -> str:
-    return json.dumps(tensor_to_json(P), sort_keys=True, separators=(",", ":"))
-
-
-def _record_key(rec: ExtremalRecord) -> tuple:
-    return (rec.kind, rec.n, rec.d, _canonical_pattern(rec.pattern), rec.fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +260,36 @@ def _intact_length(data: bytes) -> int:
     return len(data)
 
 
-def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
-    """Every record in the cache; a torn tail is skipped, not an error."""
+def _parsed_lines(cache_dir: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) for each line of the cache; blank lines and
+    a torn tail are skipped, any other line that is not a JSON object raises
+    StructureError naming it."""
     path = records_path(cache_dir)
     if not path.exists():
-        return []
+        return
     data = path.read_bytes()
-    lines = data[: _intact_length(data)].splitlines()
-    out = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(data[: _intact_length(data)].splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append(ExtremalRecord.from_json(json.loads(line.decode())))
-        except (UnicodeDecodeError, json.JSONDecodeError, StructureError) as exc:
+            obj = json.loads(line.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StructureError(f"{path}:{lineno}: {exc}") from None
-    return out
+        if not isinstance(obj, dict):
+            raise StructureError(f"{path}:{lineno}: a record must be a JSON object")
+        yield lineno, obj
+
+
+def _record_at(cache_dir: str | Path, lineno: int, data: dict) -> ExtremalRecord:
+    try:
+        return ExtremalRecord.from_json(data)
+    except StructureError as exc:
+        raise StructureError(f"{records_path(cache_dir)}:{lineno}: {exc}") from None
+
+
+def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
+    """Every record in the cache; a torn tail is skipped, not an error."""
+    return [_record_at(cache_dir, lineno, data) for lineno, data in _parsed_lines(cache_dir)]
 
 
 def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:
@@ -294,15 +306,38 @@ def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:
         fh.write(line)
 
 
-def _cached_lookup(cfg: SearchConfig, key: tuple):
-    """(exact record, best lower-bound record) already stored for this key."""
+def _holds_pattern(data: dict, pattern: dict) -> bool:
+    """Whether a parsed record line stores `pattern`, given in tensor_to_json
+    form; the line may list the ones in any order."""
+    raw = data.get("pattern")
+    if not isinstance(raw, dict) or raw.get("dims") != pattern["dims"]:
+        return False
+    try:
+        return sorted(raw.get("ones", [])) == pattern["ones"]
+    except TypeError:  # ones that cannot be ordered cannot be loaded either
+        return False
+
+
+def _cached_lookup(cfg: SearchConfig, kind: str, n: int, P: TensorMatrix):
+    """(exact record, best lower-bound record) already stored for this search.
+
+    Each line's kind, n, d, fingerprint and pattern are compared as parsed
+    JSON, and only the lines that match are built into records, so a record
+    for another key whose tensors are malformed (a witness coordinate outside
+    its extents, say) is not an error here; `records list` and `records
+    verify` still report it.  A line that is not JSON or not UTF-8 is an
+    error wherever it sits; a torn tail is skipped.
+    """
     if cfg.cache_dir is None:
         return None, None
+    fields = (("kind", kind), ("n", n), ("d", P.d), ("fingerprint", cfg.fingerprint()))
+    pattern = tensor_to_json(P)
     exact = None
     seed = None
-    for rec in load_records(cfg.cache_dir):
-        if _record_key(rec) != key:
+    for lineno, data in _parsed_lines(cfg.cache_dir):
+        if any(data.get(f) != v for f, v in fields) or not _holds_pattern(data, pattern):
             continue
+        rec = _record_at(cfg.cache_dir, lineno, data)
         if rec.status == "exact":
             exact = rec
         elif seed is None or rec.value > seed.value:
@@ -324,8 +359,7 @@ def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecor
         raise PreconditionError(f"need n >= 1, got {n}")
     d = P.d
     dims = (n,) * d
-    key = (kind, n, d, _canonical_pattern(P), cfg.fingerprint())
-    exact, seed = _cached_lookup(cfg, key)
+    exact, seed = _cached_lookup(cfg, kind, n, P)
     if exact is not None:
         if cfg.verify:
             exact.verify()

@@ -13,6 +13,7 @@ import numpy as np
 
 from patternforge.containment import contains_pattern
 from patternforge.errors import PreconditionError
+from patternforge.extremal import load_records
 from patternforge.tensor import TensorMatrix, contract
 
 # contains_via_contraction_oracle refuses hosts above this many cells
@@ -122,6 +123,24 @@ def max_ones_oracle(dims, avoids) -> tuple[int, TensorMatrix]:
         if M.ones_count > best_val and avoids(M):
             best_val, best_mat = M.ones_count, M
     return best_val, best_mat
+
+
+def cached_lookup_oracle(cache_dir, kind: str, n: int, P: TensorMatrix, fingerprint: str):
+    """(exact record, best lower-bound record) for a search, by building
+    every record of the cache and comparing the built keys: the last exact
+    record wins, the lower-bound record of highest value (first of equals)
+    is the seed."""
+    exact = seed = None
+    for rec in load_records(cache_dir):
+        if (rec.kind, rec.n, rec.d, rec.pattern, rec.fingerprint) != (
+            kind, n, P.d, P, fingerprint
+        ):
+            continue
+        if rec.status == "exact":
+            exact = rec
+        elif seed is None or rec.value > seed.value:
+            seed = rec
+    return exact, seed
 
 
 def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:

@@ -273,6 +273,27 @@ def test_malformed_cache_middle_line_exits_2(files, tmp_path, capsys):
     assert "records.jsonl:1" in capsys.readouterr().err
 
 
+def test_malformed_record_for_another_key_is_reported_by_records_only(
+    files, tmp_path, capsys
+):
+    cache = tmp_path / "cache"
+    extremal = ["extremal", "f", "--pattern", files["p"], "--cache-dir", str(cache)]
+    assert main(extremal + ["--n", "3"]) == 0
+    path = cache / "records.jsonl"
+    data = json.loads(path.read_text())
+    data["witness"]["ones"].append([4, 4])  # outside the 3x3 extents
+    path.write_text(json.dumps(data) + "\n")
+    assert main(extremal + ["--n", "2"]) == 0  # another key: searched, not rejected
+    capsys.readouterr()
+    for argv in (
+        ["records", "list", "--cache-dir", str(cache)],
+        ["records", "verify", "--cache-dir", str(cache)],
+        extremal + ["--n", "3"],  # the malformed record's own key
+    ):
+        assert main(argv) == 2
+        assert "records.jsonl:1: malformed record" in capsys.readouterr().err
+
+
 def test_records_cache_from_environment(files, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],
@@ -438,6 +459,23 @@ def test_non_integer_sweep_k_exits_2(capsys):
     code = main(["prob", "estimate", "--sweep-k", "2,x", "--ell", "2", "--d", "2",
                  "--trials", "3", "--seed", "1"])
     assert "--sweep-k" in capsys.readouterr().err
+    assert code == 2
+
+
+def test_k_with_sweep_k_exits_2(capsys):
+    code = main(["prob", "estimate", "--k", "5", "--sweep-k", "2,3", "--ell", "2",
+                 "--d", "2", "--trials", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert "not allowed with argument --k" in captured.err
+    assert captured.out == ""
+    assert code == 2
+
+
+def test_ratio_seq_empty_range_exits_2(files, capsys):
+    code = main(["ratio-seq", "--pattern", files["p"], "--n-from", "5", "--n-to", "2"])
+    captured = capsys.readouterr()
+    assert "empty range of n" in captured.err
+    assert captured.out == ""
     assert code == 2
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from patternforge.extremal import (
     _MinorChecker,
     RatioPoint,
     SearchConfig,
+    _cached_lookup,
     append_record,
     load_records,
     max_ones_avoiding,
@@ -176,7 +178,93 @@ class TestBudgets:
         assert SearchConfig().fingerprint() == "b16ed3eec707f741"
 
 
+FP = SearchConfig().fingerprint()
+
+
+def _stand_in_record(kind, n, P, value, status, fingerprint=FP, elapsed=0.0):
+    """A record that loads like a cached one; it is no search result."""
+    cells = sorted(itertools.product(range(1, n + 1), repeat=P.d))[:value]
+    return ExtremalRecord(kind=kind, n=n, d=P.d, pattern=P, value=value,
+                          witness=TensorMatrix((n,) * P.d, cells), status=status,
+                          elapsed=elapsed, fingerprint=fingerprint)
+
+
+# cache lines around the key ("f", 2, IDENTITY2, FP); None is a blank line
+LINE_VARIANTS = {
+    "key": ("f", 2, IDENTITY2, FP),
+    "ones-out-of-order": ("f", 2, IDENTITY2, FP),
+    "other-kind": ("m", 2, IDENTITY2, FP),
+    "other-n": ("f", 3, IDENTITY2, FP),
+    "other-d": ("f", 2, TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)]), FP),
+    "other-fingerprint": ("f", 2, IDENTITY2, "0" * 16),
+    "other-d-field": ("f", 2, IDENTITY2, FP),
+    "symmetric": ("f", 2, ANTI2, FP),
+    "blank": None,
+}
+# hand-written lines: edits of the JSON a record writes
+LINE_EDITS = {
+    "ones-out-of-order": lambda data: data["pattern"]["ones"].reverse(),
+    "other-d-field": lambda data: data.update(d=3),  # the pattern stays 2-d
+}
+
+
 class TestCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(LINE_VARIANTS)),
+                st.sampled_from(["exact", "lower-bound-only"]),
+                st.integers(0, 4),
+            ),
+            max_size=12,
+        ),
+        torn=st.booleans(),
+    )
+    @example(
+        lines=[("key", "exact", 3), ("key", "lower-bound-only", 2), ("blank", "exact", 0),
+               ("ones-out-of-order", "exact", 4), ("key", "lower-bound-only", 2),
+               ("ones-out-of-order", "lower-bound-only", 3), ("symmetric", "exact", 4)]
+              + [(v, "exact", 4) for v in sorted(LINE_VARIANTS) if v.startswith("other")],
+        torn=True,
+    )
+    def test_lookup_agrees_with_full_load(self, lines, torn):
+        text = ""
+        for elapsed, (variant, status, value) in enumerate(lines):
+            if LINE_VARIANTS[variant] is None:
+                text += "\n"
+                continue
+            kind, n, P, fp = LINE_VARIANTS[variant]
+            data = _stand_in_record(kind, n, P, value, status, fp, float(elapsed)).to_json()
+            if variant in LINE_EDITS:
+                LINE_EDITS[variant](data)
+            text += json.dumps(data) + "\n"
+        if torn:
+            text += '{"kind": "f", "n": 2'
+        with tempfile.TemporaryDirectory() as cache:
+            records_path(cache).write_text(text)
+            got = _cached_lookup(SearchConfig(cache_dir=cache), "f", 2, IDENTITY2)
+            assert got == oracles.cached_lookup_oracle(cache, "f", 2, IDENTITY2, FP)
+
+    def test_hit_builds_one_record(self, tmp_path, monkeypatch):
+        hit = max_ones_avoiding(2, IDENTITY2)
+        for i in range(50):
+            if i == 25:
+                append_record(tmp_path, hit)
+            else:
+                append_record(tmp_path, _stand_in_record(
+                    "f", 3, IDENTITY2, i % 10, "lower-bound-only", fingerprint=f"{i:016x}"))
+        build = ExtremalRecord.from_json.__func__
+        calls = []
+
+        def counting(cls, data):
+            calls.append(data)
+            return build(cls, data)
+
+        monkeypatch.setattr(ExtremalRecord, "from_json", classmethod(counting))
+        assert max_ones_avoiding(2, IDENTITY2, SearchConfig(cache_dir=tmp_path)) == hit
+        assert len(calls) == 1
+
     def test_exact_record_round_trips(self, tmp_path):
         cfg = SearchConfig(cache_dir=tmp_path)
         first = max_ones_avoiding(3, IDENTITY2, cfg)
@@ -287,6 +375,12 @@ class TestExtremalRecord:
     def test_malformed_json_rejected(self):
         with pytest.raises(StructureError):
             ExtremalRecord.from_json({"kind": "f"})
+        good = max_ones_avoiding(2, IDENTITY2).to_json()
+        for field, bad in [("n", 2.9), ("n", "2"), ("n", 2.0), ("d", True),
+                           ("value", True), ("value", 3.0),
+                           ("pattern", json.dumps(good["pattern"]))]:
+            with pytest.raises(StructureError):
+                ExtremalRecord.from_json({**good, field: bad})
 
 
 class TestRatioSequence:
