@@ -28,7 +28,6 @@ from . import probability as _prob
 from .containment import GridWitness, contains_interval_minor, find_embedding
 from .errors import (
     BudgetExceededError,
-    OrderingError,
     PatternforgeError,
     StructureError,
     TensorParseError,
@@ -97,7 +96,10 @@ def _seed64(value: str) -> int:
 
 
 def _int_list(value: str) -> list[int]:
-    return [int(tok) for tok in value.split(",") if tok]
+    numbers = [int(tok) for tok in value.split(",") if tok]
+    if not numbers:
+        raise argparse.ArgumentTypeError(f"no integer in {value!r}")
+    return numbers
 
 
 def _positive(value: str) -> int:
@@ -183,14 +185,9 @@ def _cmd_construct(args) -> int:
     elif kind == "random-perm":
         out = _construct.random_permutation(args.k, args.d, args.seed).matrix
     elif kind == "homo1":
-        out = _construct.blowup_avoider(
-            args.s, _load_tensor(args.n), args.k, verify=not args.no_verify
-        )
+        out = _construct.blowup_avoider(args.s, _load_tensor(args.n), args.k)
     elif kind == "scale":
-        out = _construct.scale_avoider(
-            args.s, _load_tensor(args.a), _load_tensor(args.p),
-            verify=not args.no_verify,
-        )
+        out = _construct.scale_avoider(args.s, _load_tensor(args.a), _load_tensor(args.p))
     else:  # corner-reduce
         perm = _construct.PermutationTensor(_load_tensor(args.p))
         red = _construct.corner_reduce(perm, _load_witness(args.witness))
@@ -232,7 +229,6 @@ def _cmd_extremal(args) -> int:
         node_budget=args.budget_nodes,
         time_budget=args.budget_secs,
         cache_dir=_cache_dir(args),
-        verify=not args.no_verify,
     )
     run = max_ones_avoiding if args.kind == "f" else max_ones_avoiding_minor
     rec = run(args.n, P, cfg)
@@ -429,14 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", required=True, help="inner tensor file")
     p.add_argument("--k", type=int, required=True, help="all-ones side to avoid")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = common(csub.add_parser("scale", help="corner-oriented scaling avoider"))
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--a", required=True, help="avoider tensor file")
     p.add_argument("--p", required=True, help="pattern tensor file")
-    p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = common(csub.add_parser("corner-reduce"))
@@ -453,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=_positive, default=None)
         p.add_argument("--budget-secs", type=float, default=None)
         p.add_argument("--cache-dir", default=None)
-        p.add_argument("--no-verify", action="store_true")
         p.set_defaults(func=_cmd_extremal)
 
     p = common(sub.add_parser("ratio-seq", help="value / n^(d-1) over a range of n"))
@@ -470,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = pp.add_subparsers(dest="what", required=True)
 
     p = common(psub.add_parser("estimate"))
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--k", type=int)
     g.add_argument(
         "--sweep-k", type=_int_list, default=None, help="comma-separated k values (CSV out)"
@@ -513,10 +506,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "what", None) == "estimate":
-        if args.k is None and not args.sweep_k:
-            print("error: estimate needs --k or --sweep-k", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -525,9 +514,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except OrderingError as exc:
-        print(f"ordering violated: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (PatternforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,10 +3,10 @@ avoiders built from Kronecker products with (reflected) antidiagonals, and
 the corner reduction procedure.
 
 The two avoiders are checked constructions: after building the output they
-re-verify the avoidance claim with the exact containment deciders and raise
-VerificationError if it fails, since a failure would mean a bug here or in
-the deciders, never bad input.  Both checks read only the list of ones of the
-output; verification is skipped only when the caller asks (verify=False).
+always re-verify the avoidance claim with the exact containment deciders and
+raise VerificationError if it fails, since a failure would mean a bug here or
+in the deciders, never bad input.  Both checks read only the list of ones of
+the output.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .tensor import (
     Coord,
     PermutationTensor,
     TensorMatrix,
+    _check_same_d,
     all_ones,
     antidiagonal,
     corner_ones,
@@ -69,17 +70,14 @@ def random_permutation(
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 
-def blowup_avoider(
-    s: int, N: TensorMatrix, k: int, verify: bool = True
-) -> TensorMatrix:
+def blowup_avoider(s: int, N: TensorMatrix, k: int) -> TensorMatrix:
     """Kronecker blow-up antidiagonal(s, d) (x) N.
 
     When N avoids the all-ones pattern of side k-1 as an interval minor, the
     product avoids the all-ones pattern of side k: witness intervals would
     have to spread over the antidiagonal's blocks, and no axis partition can
     give every block row of an antidiagonal more than one nonzero block.
-    The precondition on N is checked, and the output claim is re-verified on
-    instances small enough for the exact decider.
+    The precondition on N is checked, and the output claim is re-verified.
     """
     if s < 1:
         raise RangeError(f"need s >= 1, got {s}")
@@ -93,12 +91,11 @@ def blowup_avoider(
         )
     out = kronecker(antidiagonal(s, d), N)
     target = all_ones((k,) * d)
-    if verify:
-        if has_interval_minor(out, target):
-            raise VerificationError(
-                "blow-up output contains the side-%d all-ones pattern it must "
-                "avoid; this is an implementation bug" % k
-            )
+    if has_interval_minor(out, target):
+        raise VerificationError(
+            "blow-up output contains the side-%d all-ones pattern it must "
+            "avoid; this is an implementation bug" % k
+        )
     return out
 
 
@@ -116,9 +113,7 @@ def _reflect(M: TensorMatrix, axes: frozenset[int]) -> TensorMatrix:
     return TensorMatrix(M.dims, ones)
 
 
-def scale_avoider(
-    s: int, A: TensorMatrix, P: TensorMatrix, verify: bool = True
-) -> TensorMatrix:
+def scale_avoider(s: int, A: TensorMatrix, P: TensorMatrix) -> TensorMatrix:
     """Scale an avoider of P up by s per axis without creating a copy of P.
 
     Requires a corner 1-entry in P.  The output is M (x) A where M is the
@@ -130,10 +125,7 @@ def scale_avoider(
     """
     if s < 1:
         raise RangeError(f"need s >= 1, got {s}")
-    if A.d != P.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {P.d}-dimensional"
-        )
+    _check_same_d(A, P)
     corners = corner_ones(P)
     if not corners:
         raise PreconditionError("pattern has no corner 1-entry")
@@ -148,13 +140,12 @@ def scale_avoider(
     )
     M = _reflect(antidiagonal(s, A.d), mirror)
     out = kronecker(M, A)
-    if verify:
-        bad = find_embedding(out, P)
-        if bad is not None:
-            raise VerificationError(
-                f"scaled output contains the pattern via embedding {bad}; "
-                "this is an implementation bug"
-            )
+    bad = find_embedding(out, P)
+    if bad is not None:
+        raise VerificationError(
+            f"scaled output contains the pattern via embedding {bad}; "
+            "this is an implementation bug"
+        )
     return out
 
 

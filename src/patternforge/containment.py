@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, RangeError, StructureError
-from .tensor import Coord, TensorMatrix
+from .tensor import Coord, TensorMatrix, _check_same_d
 
 
 class GridWitness:
@@ -79,10 +79,7 @@ class GridWitness:
 
     def check_against(self, A: TensorMatrix, B: TensorMatrix) -> None:
         """Structural validity for this host/pattern pair; raises StructureError."""
-        if A.d != B.d:
-            raise StructureError(
-                f"dimension mismatch: host is {A.d}-dimensional, pattern {B.d}"
-            )
+        _check_same_d(A, B)
         if self.d != A.d:
             raise StructureError(
                 f"witness has {self.d} axes, tensors have {A.d}"
@@ -182,13 +179,6 @@ def verify_witness(A: TensorMatrix, B: TensorMatrix, W: GridWitness) -> bool:
 # ---------------------------------------------------------------------------
 # ordinary containment
 # ---------------------------------------------------------------------------
-
-
-def _check_same_d(A: TensorMatrix, B: TensorMatrix) -> None:
-    if A.d != B.d:
-        raise StructureError(
-            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
-        )
 
 
 class _Budget:

@@ -40,7 +40,6 @@ class SearchConfig:
     node_budget: int | None = None
     time_budget: float | None = None
     cache_dir: str | Path | None = None
-    verify: bool = True
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
@@ -361,13 +360,11 @@ def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecor
     dims = (n,) * d
     exact, seed = _cached_lookup(cfg, kind, n, P)
     if exact is not None:
-        if cfg.verify:
-            exact.verify()
+        exact.verify()
         return exact
     seed_value, seed_ones = -1, None
     if seed is not None:
-        if cfg.verify:
-            seed.verify()
+        seed.verify()
         seed_value, seed_ones = seed.value, seed.witness.ones
 
     if kind == "f":
@@ -392,8 +389,7 @@ def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecor
         elapsed=elapsed,
         fingerprint=cfg.fingerprint(),
     )
-    if cfg.verify:
-        rec.verify()
+    rec.verify()
     if cfg.cache_dir is not None:
         append_record(cfg.cache_dir, rec)
     return rec

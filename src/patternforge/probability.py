@@ -14,7 +14,7 @@ and `avoid_probability` measures the event directly by seeded sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,14 +52,7 @@ class EllReport:
     threshold_ok: bool | None  # k >= threshold
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "d": self.d,
-            "ell": self.ell,
-            "degenerate": self.degenerate,
-            "threshold": self.threshold,
-            "threshold_ok": self.threshold_ok,
-        }
+        return asdict(self)
 
 
 def ell_from_k(k: int, d: int) -> EllReport:
@@ -179,17 +172,7 @@ class EstimateReport:
             raise StructureError("estimate outside [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "d": self.d,
-            "trials": self.trials,
-            "avoid_count": self.avoid_count,
-            "undecided": self.undecided,
-            "estimate": self.estimate,
-            "conf99": self.conf99,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def avoid_probability(

@@ -225,13 +225,17 @@ def contract(A: TensorMatrix, axis: int, lo: int, hi: int) -> TensorMatrix:
     return TensorMatrix(new_dims, new_ones)
 
 
+def _check_same_d(A: TensorMatrix, B: TensorMatrix) -> None:
+    if A.d != B.d:
+        raise StructureError(
+            f"dimension mismatch: {A.d}-dimensional vs {B.d}-dimensional"
+        )
+
+
 def kronecker(M: TensorMatrix, N: TensorMatrix) -> TensorMatrix:
     """Kronecker product: every 1 of M is replaced by a copy of N, every 0 by
     an all-zero block of N's extents."""
-    if M.d != N.d:
-        raise StructureError(
-            f"dimension mismatch: {M.d}-dimensional vs {N.d}-dimensional"
-        )
+    _check_same_d(M, N)
     dims = tuple(m * n for m, n in zip(M.dims, N.dims))
     ones = []
     for block in M.ones:

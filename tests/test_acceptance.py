@@ -142,7 +142,7 @@ def test_04_blowup_construction(capsys):
             )
             if has_interval_minor(N, all_ones((k - 1,) * d)):
                 continue
-        out = blowup_avoider(s, N, k, verify=False)
+        out = blowup_avoider(s, N, k)
         assert out.ones_count == math.comb(s + d - 2, d - 1) * N.ones_count
         assert not has_interval_minor(out, all_ones((k,) * d))
         done += 1

@@ -246,6 +246,10 @@ def test_records_verify_flags_tampering(files, tmp_path, capsys):
     code, out = run(capsys, ["records", "verify", "--cache-dir", str(cache), "--format", "json"])
     assert code == 4
     assert json.loads(out)["failures"]
+    code = main(["extremal", "f", "--n", "3", "--pattern", files["p"],
+                 "--cache-dir", str(cache)])
+    assert "verification failure" in capsys.readouterr().err
+    assert code == 4  # a cache hit is checked before it is served
 
 
 def test_torn_cache_tail_is_dropped(files, tmp_path, capsys):
@@ -456,10 +460,28 @@ def test_malformed_json_tensor_exits_2(tmp_path, capsys, payload):
 
 
 def test_non_integer_sweep_k_exits_2(capsys):
-    code = main(["prob", "estimate", "--sweep-k", "2,x", "--ell", "2", "--d", "2",
-                 "--trials", "3", "--seed", "1"])
-    assert "--sweep-k" in capsys.readouterr().err
-    assert code == 2
+    for sweep in ("2,x", ","):
+        code = main(["prob", "estimate", "--sweep-k", sweep, "--ell", "2", "--d", "2",
+                     "--trials", "3", "--seed", "1"])
+        assert "--sweep-k" in capsys.readouterr().err
+        assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "f", "--n", "2", "--pattern", "allones:2,2"],
+        ["extremal", "m", "--n", "2", "--pattern", "allones:2,2"],
+        ["construct", "homo1", "--s", "2", "--n", "allones:1,1", "--k", "3"],
+        ["construct", "scale", "--s", "2", "--a", "allones:1,1", "--p", "allones:2,2"],
+    ],
+    ids=["extremal-f", "extremal-m", "construct-homo1", "construct-scale"],
+)
+def test_no_verify_flag_exits_2(capsys, argv):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--no-verify"]) == 2
+    assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
 
 def test_k_with_sweep_k_exits_2(capsys):

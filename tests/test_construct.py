@@ -109,7 +109,7 @@ class TestBlowupAvoider:
 
     def test_3d_output_avoids(self):
         N = antidiagonal(2, 3)  # 3 ones cannot fill the 8 blocks of side 2
-        out = blowup_avoider(2, N, 3, verify=True)
+        out = blowup_avoider(2, N, 3)
         assert out.dims == (4, 4, 4)
         assert not has_interval_minor(out, all_ones((3, 3, 3)))
 
@@ -139,19 +139,6 @@ class TestBlowupAvoider:
         # 258 x 258 cells, more than the old 2^16-cell verification limit
         with pytest.raises(VerificationError):
             blowup_avoider(129, IDENTITY2, 3)
-
-    def test_verify_flag_skips_check(self, monkeypatch):
-        calls = {"n": 0}
-        real = construct.has_interval_minor
-
-        def counting(A, B, node_budget=None):
-            calls["n"] += 1
-            return real(A, B, node_budget)
-
-        monkeypatch.setattr(construct, "has_interval_minor", counting)
-        N = TensorMatrix((2, 2), [(1, 1), (1, 2), (2, 1)])
-        blowup_avoider(2, N, 3, verify=False)
-        assert calls["n"] == 1  # precondition only
 
 
 class TestScaleAvoider:
