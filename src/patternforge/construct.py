@@ -17,7 +17,6 @@ import numpy as np
 
 from .containment import (
     GridWitness,
-    contains_pattern,
     extend_to_partition,
     find_embedding,
     has_interval_minor,
@@ -46,8 +45,9 @@ def identity_permutation(k: int, d: int) -> PermutationTensor:
 
 def _fisher_yates(k: int, rng: np.random.Generator) -> list[int]:
     perm = list(range(1, k + 1))
-    for i in range(k - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    # the swap partner of every i = k-1 .. 1 in one call, drawn from [0, i]
+    swaps = rng.integers(0, np.arange(k, 1, -1)).tolist()
+    for i, j in zip(range(k - 1, 0, -1), swaps):
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 

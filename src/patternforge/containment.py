@@ -8,11 +8,14 @@ consecutive cross sections of A can produce a matrix containing B.  The
 decider here works with the equivalent grid-witness form: per-axis systems of
 disjoint increasing intervals such that every block selected by a 1 of B
 contains a 1 of A; all-ones targets are decided from the list of ones of A
-alone.  Certificates are lex-least witnesses.  Widening an interval to the
-left, up to the end of the interval before it, keeps every required block
-non-empty and never raises the flattened endpoint tuple, so the lex-least
-witness has a_1 = 1 and a_{j+1} = b_j + 1 on every axis: the witness search
-places interval ends only.
+alone.  For them the paper's equal split of every axis is tried first: if
+every one of its blocks holds a 1 of A, it is itself a witness and the answer
+is True; only a split with an empty block falls back to the exact sweep over
+cut tuples.  Certificates are lex-least witnesses.  Widening an interval to
+the left, up to the end of the interval before it, keeps every required
+block non-empty and never raises the flattened endpoint tuple, so the
+lex-least witness has a_1 = 1 and a_{j+1} = b_j + 1 on every axis: the
+witness search places interval ends only.
 
 Both deciders are exact and deterministic; an optional node budget turns
 runaway searches into an explicit undecided error instead of a wrong answer.
@@ -437,11 +440,24 @@ def _witness_search(
 
 
 def _allones_answer(A: TensorMatrix, B: TensorMatrix) -> bool | None:
-    """The sparse decision when B is all ones, None when B has a 0."""
+    """The sparse decision when B is all ones, None when B has a 0.
+
+    The paper's equal split is tried first: coordinate c of an axis of
+    extent n goes to part floor((c-1)*k/n) of k.  Once the ones of A have
+    hit every block, that split is a valid witness and the answer is True;
+    if they never do, the exact sweep `_allones_minor` decides.  With k > n
+    some part is empty, so the split can never claim a false True.
+    """
     _check_same_d(A, B)
     if B.ones_count != B.cell_count:
         return None
-    return _allones_minor(A, B.dims)
+    ks, dims, want = B.dims, A.dims, B.cell_count
+    blocks = set()
+    for one in A.ones:
+        blocks.add(tuple((c - 1) * k // n for c, k, n in zip(one, ks, dims)))
+        if len(blocks) == want:
+            return True
+    return _allones_minor(A, ks)
 
 
 def has_interval_minor(
@@ -449,9 +465,11 @@ def has_interval_minor(
 ) -> bool:
     """Interval-minor decision without certificate construction.
 
-    All-ones targets take the sparse decider, whose work grows with the ones
-    of A and the cut tuples between them, not with the cells of A; they
-    spend no node budget.  Other targets run the witness search.
+    All-ones targets spend no node budget.  They first try the equal split
+    of every axis, one pass over the ones of A that answers True when it
+    hits every block; otherwise the sparse decider runs, whose work grows
+    with the ones of A and the cut tuples between them, not with the cells
+    of A.  Other targets run the witness search.
     """
     answer = _allones_answer(A, B)
     if answer is not None:
@@ -470,7 +488,8 @@ def contains_interval_minor(
     to the end of the one before keeps the witness valid and never raises
     that tuple, so the least witness has a1 = 1 and a_{j+1} = b_j + 1 and the
     search tries interval ends only; node_budget counts the ends tried.  An
-    all-ones B is first decided sparsely.
+    all-ones B is first decided sparsely (equal split, then the sweep), so a
+    host without the minor returns None before any search.
     """
     if _allones_answer(A, B) is False:
         return None

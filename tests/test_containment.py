@@ -1,6 +1,7 @@
 """Both containment deciders against literal-definition oracles."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from patternforge.errors import (
     PreconditionError,
     StructureError,
 )
+from patternforge.probability import side_threshold
 from patternforge.tensor import TensorMatrix, all_ones, antidiagonal
 
 
@@ -430,14 +432,19 @@ FROZEN_PERMUTATION_ANSWERS = {
 }
 
 
-def permutation_answers(k, ell, d):
+def permutation_answers(k, ell, d, decide=has_interval_minor):
     target = all_ones((ell,) * d)
     return "".join(
-        "1" if has_interval_minor(
+        "1" if decide(
             random_permutation(k, d, np.random.SeedSequence([1506, t])).matrix, target
         ) else "0"
         for t in range(20)
     )
+
+
+def sweep_only(A, B):
+    """The exact cut sweep alone, without the equal split before it."""
+    return containment._allones_minor(A, B.dims)
 
 
 class TestAllOnesDecider:
@@ -453,16 +460,38 @@ class TestAllOnesDecider:
         expected = oracles.minor_oracle(A, B)
         assert has_interval_minor(A, B) == expected
         assert (contains_interval_minor(A, B) is not None) == expected
+        assert containment._allones_minor(A, ks) == expected
+        # with the sweep stubbed to False, True can come from the split only
+        with mock.patch.object(containment, "_allones_minor", return_value=False):
+            if containment._allones_answer(A, B):
+                assert expected
 
     @pytest.mark.parametrize("point", sorted(FROZEN_PERMUTATION_ANSWERS), ids=str)
     def test_frozen_random_permutation_answers(self, point):
-        assert permutation_answers(*point) == FROZEN_PERMUTATION_ANSWERS[point]
+        expected = FROZEN_PERMUTATION_ANSWERS[point]
+        assert permutation_answers(*point) == expected
+        assert permutation_answers(*point, sweep_only) == expected
 
     def test_answers_do_not_depend_on_chunk_size(self, monkeypatch):
         # one cut tuple per chunk
         monkeypatch.setattr(containment, "_LABEL_BYTES", 1)
         for point in [(4, 2, 2), (12, 3, 2), (10, 2, 3)]:
-            assert permutation_answers(*point) == FROZEN_PERMUTATION_ANSWERS[point]
+            expected = FROZEN_PERMUTATION_ANSWERS[point]
+            assert permutation_answers(*point) == expected
+            assert permutation_answers(*point, sweep_only) == expected
+
+    def test_equal_split_decides_every_paper_threshold(self, monkeypatch):
+        # the exact sweep needs minutes from (3, 3) on; the equal split of
+        # every axis into ell parts is a witness here without it
+        def no_sweep(A, ks):
+            raise AssertionError("the exact sweep ran")
+
+        monkeypatch.setattr(containment, "_allones_minor", no_sweep)
+        for ell, d in itertools.product((2, 3, 4), repeat=2):
+            k = side_threshold(ell, d)
+            for t in range(3):
+                A = random_permutation(k, d, np.random.SeedSequence([1506, t])).matrix
+                assert has_interval_minor(A, all_ones((ell,) * d)), (ell, d, t)
 
     def test_identity_above_dense_size_avoids_j2(self):
         A = identity_permutation(300, 3).matrix
@@ -476,11 +505,13 @@ class TestAllOnesDecider:
         A = TensorMatrix((300,) * 3, ones)
         assert A.ones_count == 306
         assert has_interval_minor(A, all_ones((2, 2, 2)))
+        assert containment._allones_minor(A, (2, 2, 2))
 
     def test_more_than_64_blocks(self):
         # 81 blocks on the leading axes do not fit one machine word
         full = all_ones((9, 9, 2))
         assert has_interval_minor(full, full)
+        assert containment._allones_minor(full, full.dims)
         holed = TensorMatrix(full.dims, full.ones - {(5, 5, 2)})
         assert not has_interval_minor(holed, full)
         assert has_interval_minor(holed, all_ones((9, 8, 2)))
