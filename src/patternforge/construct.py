@@ -64,9 +64,7 @@ def random_permutation(
         seed = np.random.SeedSequence(int(seed))
     rng = np.random.default_rng(seed)
     perms = [_fisher_yates(k, rng) for _ in range(d - 1)]
-    ones = [
-        tuple([i] + [perm[i - 1] for perm in perms]) for i in range(1, k + 1)
-    ]
+    ones = list(zip(range(1, k + 1), *perms))
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 

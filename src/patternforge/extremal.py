@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -261,13 +262,17 @@ def _intact_length(data: bytes) -> int:
 
 def _parsed_lines(cache_dir: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each line of the cache; blank lines and
-    a torn tail are skipped, any other line that is not a JSON object raises
-    StructureError naming it."""
+    a torn tail are skipped, the latter with a note on stderr, and any other
+    line that is not a JSON object raises StructureError naming it."""
     path = records_path(cache_dir)
     if not path.exists():
         return
     data = path.read_bytes()
-    for lineno, line in enumerate(data[: _intact_length(data)].splitlines(), start=1):
+    intact = data[: _intact_length(data)]
+    if len(intact) < len(data):
+        torn = intact.count(b"\n") + 1
+        print(f"warning: {path}:{torn}: skipped a torn last line", file=sys.stderr)
+    for lineno, line in enumerate(intact.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -41,21 +41,19 @@ class TensorMatrix:
             raise StructureError("a tensor needs at least one axis")
         if any(n < 1 for n in dims):
             raise StructureError(f"extents must be positive, got {dims}")
-        seen: set[Coord] = set()
-        for coord in ones:
-            coord = tuple(int(c) for c in coord)
-            if len(coord) != len(dims):
-                raise StructureError(
-                    f"coordinate {coord} has {len(coord)} components, expected {len(dims)}"
-                )
-            for c, n in zip(coord, dims):
-                if not 1 <= c <= n:
-                    raise RangeError(f"coordinate {coord} outside extents {dims}")
-            if coord in seen:
-                raise StructureError(f"duplicate coordinate {coord}")
-            seen.add(coord)
+        coords = [tuple(map(int, c)) for c in ones]
+        unique = frozenset(coords)
+        # whole-list passes; the per-coordinate walk runs only to name a fault
+        if coords and (
+            len(unique) != len(coords)
+            or set(map(len, coords)) != {len(dims)}
+            or not all(
+                1 <= min(col) and max(col) <= n for col, n in zip(zip(*coords), dims)
+            )
+        ):
+            _raise_first_fault(coords, dims)
         self._dims = dims
-        self._ones = frozenset(seen)
+        self._ones = unique
         self._sorted: list[Coord] | None = None  # the ones in lex order, on first use
 
     @property
@@ -125,6 +123,22 @@ class TensorMatrix:
         return self.count_in_box(lo, hi) > 0
 
 
+def _raise_first_fault(coords: list[Coord], dims: tuple[int, ...]) -> None:
+    """Raise for the first coordinate, in input order, that has the wrong
+    length, leaves the extents or repeats an earlier one."""
+    seen: set[Coord] = set()
+    for coord in coords:
+        if len(coord) != len(dims):
+            raise StructureError(
+                f"coordinate {coord} has {len(coord)} components, expected {len(dims)}"
+            )
+        if not all(1 <= c <= n for c, n in zip(coord, dims)):
+            raise RangeError(f"coordinate {coord} outside extents {dims}")
+        if coord in seen:
+            raise StructureError(f"duplicate coordinate {coord}")
+        seen.add(coord)
+
+
 class PermutationTensor:
     """A validated k x ... x k permutation matrix.
 
@@ -145,9 +159,9 @@ class PermutationTensor:
                 f"permutation matrix of side {k} needs exactly {k} ones, "
                 f"got {matrix.ones_count}"
             )
-        for axis in range(matrix.d):
-            coords = sorted(c[axis] for c in matrix.ones)
-            if coords != list(range(1, k + 1)):
+        # k ones, each within [1, k]: k distinct values per axis are 1..k
+        for axis, col in enumerate(zip(*matrix.ones)):
+            if len(set(col)) != k:
                 raise StructureError(
                     f"axis {axis + 1}: some cross section does not contain exactly one 1"
                 )

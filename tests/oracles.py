@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from patternforge.containment import contains_pattern
-from patternforge.errors import PreconditionError
+from patternforge.errors import PreconditionError, RangeError, StructureError
 from patternforge.extremal import load_records
 from patternforge.tensor import TensorMatrix, contract
 
@@ -30,6 +30,31 @@ def dense(A: TensorMatrix) -> np.ndarray:
 def from_dense(arr: np.ndarray) -> TensorMatrix:
     ones = [tuple(int(i) + 1 for i in idx) for idx in zip(*np.nonzero(arr))]
     return TensorMatrix(arr.shape, ones)
+
+
+def tensor_checks_oracle(dims, ones):
+    """TensorMatrix's constructor checks as one Python loop per coordinate:
+    (dims, frozenset of ones) for valid input, else the exception, with its
+    message, that the constructor raises for an input with one fault."""
+    dims = tuple(int(n) for n in dims)
+    if len(dims) < 1:
+        raise StructureError("a tensor needs at least one axis")
+    if any(n < 1 for n in dims):
+        raise StructureError(f"extents must be positive, got {dims}")
+    seen = set()
+    for coord in ones:
+        coord = tuple(int(c) for c in coord)
+        if len(coord) != len(dims):
+            raise StructureError(
+                f"coordinate {coord} has {len(coord)} components, expected {len(dims)}"
+            )
+        for c, n in zip(coord, dims):
+            if not 1 <= c <= n:
+                raise RangeError(f"coordinate {coord} outside extents {dims}")
+        if coord in seen:
+            raise StructureError(f"duplicate coordinate {coord}")
+        seen.add(coord)
+    return dims, frozenset(seen)
 
 
 def all_tensors(dims):

@@ -1,6 +1,10 @@
 """Command-line interface: exit statuses, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from patternforge import (
     verify_witness,
 )
 from patternforge.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -256,10 +262,14 @@ def test_torn_cache_tail_is_dropped(files, tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["extremal", "f", "--n", "3", "--pattern", files["p"], "--cache-dir", str(cache)]
     assert run(capsys, argv)[0] == 0
+    intact = run(capsys, argv)  # served from the record just stored
     path = cache / "records.jsonl"
     with path.open("a") as fh:
         fh.write('{"kind": "f", "n": 4')  # a write cut short
-    assert run(capsys, argv)[0] == 0  # served from the intact record
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == intact  # served from the intact record
+    assert captured.err == f"warning: {path}:2: skipped a torn last line\n"
     assert run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],
                         "--cache-dir", str(cache)])[0] == 0
     lines = path.read_text().split("\n")
@@ -564,3 +574,71 @@ def test_non_utf8_record_line_exits_2(files, tmp_path, capsys):
     code = main(["records", "list", "--cache-dir", str(cache)])
     assert "records.jsonl:1" in capsys.readouterr().err
     assert code == 2
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def python(code, *args):
+    """A new interpreter running `code` against this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def fresh_run(argv):
+    """(exit code, stdout) of `main(argv)` in a new interpreter."""
+    proc = python("import sys; from patternforge.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))", *argv)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_is_built_by_the_first_main_call_only():
+    code = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import patternforge.cli as cli
+on_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["prob", "threshold", "--ell", "2", "--d", "2"]) for _ in range(3)]
+by_main = len(built) - on_import
+cli.build_parser()
+print(json.dumps([on_import, by_main, len(built) - on_import - by_main, codes]))
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+    on_import, by_main, per_tree, codes = json.loads(proc.stdout)
+    assert on_import == 0
+    assert per_tree > 1 and by_main == per_tree  # one tree of subparsers, once
+    assert codes == [0, 0, 0]
+
+
+ESTIMATE = ["prob", "estimate", "--ell", "2", "--d", "2", "--trials", "20",
+            "--seed", "5", "--format", "json"]
+
+
+@pytest.mark.parametrize("first, first_code", [
+    (["prob", "estimate", "--k", "x", "--ell", "2"], 2),
+    (["prob", "estimate", "--k", "4", "--sweep-k", "4,6"] + ESTIMATE[2:], 2),
+    (["--help"], 0),
+    (["prob", "estimate", "--help"], 0),
+])
+def test_reused_parser_after_an_early_exit(first, first_code, capsys):
+    assert main(first) == first_code
+    capsys.readouterr()
+    argv = ESTIMATE + ["--k", "6"]
+    assert run(capsys, argv) == fresh_run(argv)
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    sequence = [ESTIMATE + ["--k", "6"], ESTIMATE + ["--sweep-k", "4,6"],
+                ESTIMATE[:-2] + ["--k", "8"]]
+    for argv in sequence:
+        assert run(capsys, argv) == fresh_run(argv)

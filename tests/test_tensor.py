@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,8 @@ from patternforge.tensor import (
     tensor_from_json,
     tensor_to_json,
 )
+
+from oracles import tensor_checks_oracle
 
 # -- oracles -----------------------------------------------------------------
 
@@ -75,6 +78,19 @@ class TestTensorMatrix:
             TensorMatrix((2, 2), [(1, 3)])
         with pytest.raises(StructureError):
             TensorMatrix((2, 2), [(1, 1), (1, 1)])
+
+    def test_two_faults_report_the_first_coordinate(self):
+        with pytest.raises(StructureError, match="has 3 components"):
+            TensorMatrix((2, 2), [(1, 1, 1), (3, 1)])
+        with pytest.raises(RangeError, match=re.escape("(3, 1)")):
+            TensorMatrix((2, 2), [(3, 1), (1, 1), (1, 1)])
+        with pytest.raises(StructureError, match="duplicate"):
+            TensorMatrix((2, 2), [(1, 1), (1, 1), (0, 1)])
+        with pytest.raises(StructureError, match="has 3 components"):
+            TensorMatrix((2, 2), [(1, 1, 9)])  # length before range
+        # every coordinate is converted before any is checked
+        with pytest.raises(ValueError):
+            TensorMatrix((2, 2), [(1, 1, 1), ("x", 1)])
 
     def test_count_in_box_matches_scan(self):
         rng = np.random.default_rng(7)
@@ -131,6 +147,83 @@ class TestTensorMatrix:
         assert A.count_in_box((3, 1), (2, 3)) == 0
 
 
+FAULTS = (None, "short", "long", "below", "above", "duplicate")
+FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "numpy": lambda c: np.array(c, dtype=np.int64),
+}
+CONTAINERS = {
+    "list": lambda ones: lambda: list(ones),
+    "tuple": lambda ones: lambda: tuple(ones),
+    "generator": lambda ones: lambda: (c for c in ones),
+}
+
+
+@st.composite
+def checked_inputs(draw):
+    """(dims, fresh-ones factory, fault): d in 1..4, valid coordinates in
+    mixed element forms, and at most one faulty coordinate."""
+    d = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    cells = list(itertools.product(*(range(1, n + 1) for n in dims)))
+    fault = draw(st.sampled_from(FAULTS))
+    coords = draw(st.lists(
+        st.sampled_from(cells), unique=True,
+        min_size=1 if fault else 0, max_size=min(8, len(cells)),
+    ))
+    if fault:
+        bad = list(draw(st.sampled_from(coords)))
+        ax = draw(st.integers(0, d - 1))
+        if fault == "short":
+            bad.pop(ax)
+        elif fault == "long":
+            bad.insert(ax, draw(st.integers(1, dims[ax])))
+        elif fault == "below":
+            bad[ax] = draw(st.integers(-3, 0))
+        elif fault == "above":
+            bad[ax] = dims[ax] + draw(st.integers(1, 3))
+        coords.insert(draw(st.integers(0, len(coords))), tuple(bad))
+    forms = draw(st.lists(st.sampled_from(sorted(FORMS)),
+                          min_size=len(coords), max_size=len(coords)))
+    ones = [FORMS[f](c) for f, c in zip(forms, coords)]
+    dims = FORMS[draw(st.sampled_from(sorted(FORMS)))](dims)
+    return dims, CONTAINERS[draw(st.sampled_from(sorted(CONTAINERS)))](ones), fault
+
+
+def outcome(build):
+    try:
+        return "ok", build()
+    except (StructureError, RangeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConstructorChecks:
+    """TensorMatrix against the per-coordinate loop in oracles.py.
+
+    With one fault the two raise the same exception type and message.  With
+    two faults both report the first faulty coordinate in input order (for a
+    repeat, its second occurrence) and, within one coordinate, a wrong length
+    before a value outside the extents.  One case differs: a component that
+    int() rejects is raised before any fault at an earlier coordinate, since
+    the constructor converts every coordinate before it checks any.
+    """
+
+    @settings(max_examples=400, derandomize=True)
+    @given(checked_inputs())
+    def test_matches_per_coordinate_oracle(self, case):
+        dims, make_ones, fault = case
+
+        def build():
+            A = TensorMatrix(dims, make_ones())
+            assert all(type(c) is int for coord in A.ones for c in coord)
+            return A.dims, A.ones
+
+        got = outcome(build)
+        assert got == outcome(lambda: tensor_checks_oracle(dims, make_ones()))
+        assert (got[0] == "ok") == (fault is None)
+
+
 class TestPermutationTensor:
     def test_accepts_valid(self):
         M = TensorMatrix((3, 3, 3), [(1, 2, 3), (2, 3, 1), (3, 1, 2)])
@@ -138,12 +231,29 @@ class TestPermutationTensor:
         assert P.k == 3 and P.d == 3
 
     def test_rejects_non_square(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=re.escape(
+            "permutation matrix must be square, got (2, 3)"
+        )):
             PermutationTensor(TensorMatrix((2, 3), [(1, 1), (2, 2)]))
 
     def test_rejects_wrong_count(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=re.escape(
+            "permutation matrix of side 2 needs exactly 2 ones, got 1"
+        )):
             PermutationTensor(TensorMatrix((2, 2), [(1, 1)]))
+        with pytest.raises(StructureError, match="got 4"):
+            PermutationTensor(TensorMatrix((3, 3), [(1, 1), (2, 2), (3, 3), (1, 2)]))
+
+    @pytest.mark.parametrize("axis, ones", [
+        (2, [(1, 1, 1), (2, 1, 2), (3, 3, 3)]),
+        (3, [(1, 1, 1), (2, 2, 1), (3, 3, 3)]),
+        (3, [(1, 2, 2), (2, 3, 2), (3, 1, 2)]),
+    ])
+    def test_rejects_repeated_value_with_k_ones(self, axis, ones):
+        with pytest.raises(StructureError, match=re.escape(
+            f"axis {axis}: some cross section does not contain exactly one 1"
+        )):
+            PermutationTensor(TensorMatrix((3, 3, 3), ones))
 
     def test_rejects_repeated_coordinate_on_axis(self):
         # two ones share row 1 -> some row cross section has two ones
