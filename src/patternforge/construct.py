@@ -43,13 +43,24 @@ def identity_permutation(k: int, d: int) -> PermutationTensor:
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 
-def _fisher_yates(k: int, rng: np.random.Generator) -> list[int]:
-    perm = list(range(1, k + 1))
-    # the swap partner of every i = k-1 .. 1 in one call, drawn from [0, i]
-    swaps = rng.integers(0, np.arange(k, 1, -1)).tolist()
-    for i, j in zip(range(k - 1, 0, -1), swaps):
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+def _permutation_columns(k: int, d: int, rng: np.random.Generator) -> list[list[int]]:
+    """Coordinates on axes 2..d of the ones of a random permutation matrix of
+    side k, ordered by the first coordinate: d-1 Fisher-Yates shuffles of
+    1..k, one after another from `rng`.
+
+    The swap partner of every i = k-1 .. 1, drawn from [0, i], comes for all
+    d-1 axes from one call; numpy draws each bounded element from the
+    generator's stream in turn, so the one call draws what d-1 calls would.
+    """
+    swaps = iter(rng.integers(0, np.tile(np.arange(k, 1, -1), d - 1)).tolist())
+    cols = []
+    for _ in range(d - 1):
+        perm = list(range(1, k + 1))
+        # zip stops on the exhausted range before it takes the next axis's swap
+        for i, j in zip(range(k - 1, 0, -1), swaps):
+            perm[i], perm[j] = perm[j], perm[i]
+        cols.append(perm)
+    return cols
 
 
 def random_permutation(
@@ -62,9 +73,8 @@ def random_permutation(
         raise RangeError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(int(seed))
-    rng = np.random.default_rng(seed)
-    perms = [_fisher_yates(k, rng) for _ in range(d - 1)]
-    ones = list(zip(range(1, k + 1), *perms))
+    cols = _permutation_columns(k, d, np.random.default_rng(seed))
+    ones = list(zip(range(1, k + 1), *cols))
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 

@@ -439,25 +439,35 @@ def _witness_search(
     return place(0, 0)
 
 
-def _allones_answer(A: TensorMatrix, B: TensorMatrix) -> bool | None:
-    """The sparse decision when B is all ones, None when B has a 0.
+def _equal_split_hits(
+    ones: Iterable[Coord], ks: tuple[int, ...], dims: tuple[int, ...]
+) -> bool:
+    """Whether the paper's equal split of a matrix of extents `dims` into
+    parts `ks` has a 1 from `ones` in every block.
 
-    The paper's equal split is tried first: coordinate c of an axis of
-    extent n goes to part floor((c-1)*k/n) of k.  Once the ones of A have
-    hit every block, that split is a valid witness and the answer is True;
-    if they never do, the exact sweep `_allones_minor` decides.  With k > n
-    some part is empty, so the split can never claim a false True.
+    Coordinate c of an axis of extent n goes to part floor((c-1)*k/n) of k.
+    When every block is hit the split is a witness that the all-ones pattern
+    of extents `ks` is an interval minor; with k > n some part is empty, so
+    the split never claims a false True.  `ones` is read only until every
+    block is hit.
     """
-    _check_same_d(A, B)
-    if B.ones_count != B.cell_count:
-        return None
-    ks, dims, want = B.dims, A.dims, B.cell_count
+    want = math.prod(ks)
     blocks = set()
-    for one in A.ones:
+    for one in ones:
         blocks.add(tuple((c - 1) * k // n for c, k, n in zip(one, ks, dims)))
         if len(blocks) == want:
             return True
-    return _allones_minor(A, ks)
+    return False
+
+
+def _allones_answer(A: TensorMatrix, B: TensorMatrix) -> bool | None:
+    """The sparse decision when B is all ones, None when B has a 0: the
+    equal split first, and when it misses a block, the exact sweep
+    `_allones_minor`."""
+    _check_same_d(A, B)
+    if B.ones_count != B.cell_count:
+        return None
+    return _equal_split_hits(A.ones, B.dims, A.dims) or _allones_minor(A, B.dims)
 
 
 def has_interval_minor(

@@ -260,10 +260,14 @@ def _intact_length(data: bytes) -> int:
     return len(data)
 
 
-def _parsed_lines(cache_dir: str | Path) -> Iterator[tuple[int, dict]]:
+def _parsed_lines(
+    cache_dir: str | Path, noted: set[str] | None = None
+) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each line of the cache; blank lines and
     a torn tail are skipped, the latter with a note on stderr, and any other
-    line that is not a JSON object raises StructureError naming it."""
+    line that is not a JSON object raises StructureError naming it.  A note
+    already in `noted`, the notes printed by earlier reads of the same
+    request, is not printed again."""
     path = records_path(cache_dir)
     if not path.exists():
         return
@@ -271,7 +275,11 @@ def _parsed_lines(cache_dir: str | Path) -> Iterator[tuple[int, dict]]:
     intact = data[: _intact_length(data)]
     if len(intact) < len(data):
         torn = intact.count(b"\n") + 1
-        print(f"warning: {path}:{torn}: skipped a torn last line", file=sys.stderr)
+        note = f"warning: {path}:{torn}: skipped a torn last line"
+        noted = set() if noted is None else noted
+        if note not in noted:
+            print(note, file=sys.stderr)
+            noted.add(note)
     for lineno, line in enumerate(intact.splitlines(), start=1):
         if not line.strip():
             continue
@@ -322,7 +330,9 @@ def _holds_pattern(data: dict, pattern: dict) -> bool:
         return False
 
 
-def _cached_lookup(cfg: SearchConfig, kind: str, n: int, P: TensorMatrix):
+def _cached_lookup(
+    cfg: SearchConfig, kind: str, n: int, P: TensorMatrix, noted: set[str] | None = None
+):
     """(exact record, best lower-bound record) already stored for this search.
 
     Each line's kind, n, d, fingerprint and pattern are compared as parsed
@@ -330,7 +340,8 @@ def _cached_lookup(cfg: SearchConfig, kind: str, n: int, P: TensorMatrix):
     for another key whose tensors are malformed (a witness coordinate outside
     its extents, say) is not an error here; `records list` and `records
     verify` still report it.  A line that is not JSON or not UTF-8 is an
-    error wherever it sits; a torn tail is skipped.
+    error wherever it sits; a torn tail is skipped, with a note unless it is
+    in `noted`.
     """
     if cfg.cache_dir is None:
         return None, None
@@ -338,7 +349,7 @@ def _cached_lookup(cfg: SearchConfig, kind: str, n: int, P: TensorMatrix):
     pattern = tensor_to_json(P)
     exact = None
     seed = None
-    for lineno, data in _parsed_lines(cfg.cache_dir):
+    for lineno, data in _parsed_lines(cfg.cache_dir, noted):
         if any(data.get(f) != v for f, v in fields) or not _holds_pattern(data, pattern):
             continue
         rec = _record_at(cfg.cache_dir, lineno, data)
@@ -354,7 +365,9 @@ def _cached_lookup(cfg: SearchConfig, kind: str, n: int, P: TensorMatrix):
 # ---------------------------------------------------------------------------
 
 
-def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecord:
+def _run(
+    kind: str, n: int, P: TensorMatrix, cfg: SearchConfig, noted: set[str] | None = None
+) -> ExtremalRecord:
     if P.is_zero:
         raise PreconditionError("pattern must contain at least one 1")
     if P.d < 2:
@@ -363,7 +376,7 @@ def _run(kind: str, n: int, P: TensorMatrix, cfg: SearchConfig) -> ExtremalRecor
         raise PreconditionError(f"need n >= 1, got {n}")
     d = P.d
     dims = (n,) * d
-    exact, seed = _cached_lookup(cfg, kind, n, P)
+    exact, seed = _cached_lookup(cfg, kind, n, P, noted)
     if exact is not None:
         exact.verify()
         return exact
@@ -429,13 +442,15 @@ def ratio_sequence(
     kind: str = "f",
 ) -> list[RatioPoint]:
     """Exact values of the extremal function over a range of n together with
-    value / n^(d-1), the scaling the trivial bounds sandwich."""
+    value / n^(d-1), the scaling the trivial bounds sandwich.  A torn cache
+    tail is noted on stderr once per call, not once per n."""
     if kind not in ("f", "m"):
         raise PreconditionError(f"kind must be 'f' or 'm', got {kind!r}")
-    run = max_ones_avoiding if kind == "f" else max_ones_avoiding_minor
+    cfg = cfg or SearchConfig()
+    noted: set[str] = set()
     out = []
     for n in n_range:
-        rec = run(n, P, cfg)
+        rec = _run(kind, n, P, cfg, noted)
         out.append(
             RatioPoint(
                 n=n,

@@ -7,6 +7,11 @@ side `ell` on every axis as an interval minor.  Above an explicit side
 threshold the avoidance probability drops below 1/ell; the chain of four
 expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
+The bound rests on the paper's equal split: a permutation whose split into
+ell^d equal blocks hits every block contains the pattern.  A trial draws
+the permutation as columns, tests that split on them, and builds a matrix
+for the exact decider only when the split misses a block; the misses are
+reported as `equal_split_misses`, the event the union bound bounds.
 `probability_chain` compares floats; only `ChainReport.final_bound_exact` and
 `ratio_lower_bound` are exact rationals (Fraction).
 """
@@ -19,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import random_permutation
-from .containment import has_interval_minor
+from .construct import _permutation_columns
+from .containment import _allones_minor, _equal_split_hits
 from .errors import OrderingError, PreconditionError, RangeError, StructureError
-from .tensor import all_ones
+from .tensor import PermutationTensor, TensorMatrix
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
 
@@ -164,10 +169,15 @@ class EstimateReport:
     estimate: float  # avoid_count / trials
     conf99: float  # normal-approximation radius at 99%
     seed: int
+    # trials whose equal split left a block empty, avoiding or not; every
+    # avoiding trial is one of them
+    equal_split_misses: int
 
     def __post_init__(self):
         if not 0 <= self.avoid_count <= self.trials:
             raise StructureError("avoid count outside 0..trials")
+        if not self.avoid_count <= self.equal_split_misses <= self.trials:
+            raise StructureError("equal-split misses outside avoid_count..trials")
         if not 0.0 <= self.estimate <= 1.0:
             raise StructureError("estimate outside [0, 1]")
 
@@ -186,7 +196,14 @@ def avoid_probability(
     pattern as an interval minor.
 
     Trials run one after another on one thread; trial t uses the seed stream
-    (seed, t).  Each trial is decided exactly, so `undecided` is 0.
+    (seed, t) and draws the same permutation as `random_permutation(k, d,
+    SeedSequence([seed, t]))`, as d-1 columns, each checked to be a
+    permutation.  The paper's equal split is tested on the ones they give; a
+    trial whose split hits every block contains the pattern.  Only a trial
+    whose split misses a block, counted in `equal_split_misses`, builds the
+    `PermutationTensor` and runs the exact sweep.  With k < ell^d there are
+    fewer ones than blocks, so every trial avoids and misses, and none is
+    drawn.  Each trial is decided exactly, so `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -194,14 +211,26 @@ def avoid_probability(
         raise RangeError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    target = all_ones((ell,) * d)
-
-    avoid_count = sum(
-        not has_interval_minor(
-            random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix, target
-        )
-        for t in range(trials)
-    )
+    ks = (ell,) * d
+    dims = (k,) * d
+    # fewer ones than blocks: every trial avoids and misses, and none is drawn
+    drawn = trials if k >= ell**d else 0
+    avoid_count = misses = trials - drawn
+    for t in range(drawn):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        cols = _permutation_columns(k, d, rng)
+        for axis, col in enumerate(cols, start=2):
+            if len(set(col)) != k:
+                raise StructureError(f"axis {axis}: trial {t} drew no permutation")
+        # a set is read in hash order, which mixes the parts of every axis, so
+        # the split test stops after about ell^d * ln(ell^d) ones, not after
+        # most of the first axis as in index order
+        ones = set(zip(range(1, k + 1), *cols))
+        if _equal_split_hits(ones, ks, dims):
+            continue
+        misses += 1
+        P = PermutationTensor(TensorMatrix(dims, ones))
+        avoid_count += not _allones_minor(P.matrix, ks)
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)
     return EstimateReport(
@@ -214,6 +243,7 @@ def avoid_probability(
         estimate=p,
         conf99=radius,
         seed=seed,
+        equal_split_misses=misses,
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit statuses, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -277,6 +278,21 @@ def test_torn_cache_tail_is_dropped(files, tmp_path, capsys):
     assert run(capsys, ["records", "verify", "--cache-dir", str(cache)])[0] == 0
 
 
+def test_torn_cache_tail_is_noted_once_per_ratio_seq(files, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["ratio-seq", "--n-from", "1", "--n-to", "3", "--pattern", files["p"],
+            "--cache-dir", str(cache)]
+    intact = run(capsys, argv)  # stores the records for n = 1, 2, 3
+    path = cache / "records.jsonl"
+    with path.open("a") as fh:
+        fh.write('{"kind": "f", "n": 4')  # a write cut short
+    for _ in range(2):  # a later call in the same process is noted again
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == intact  # every n served from the cache
+        assert captured.err == f"warning: {path}:4: skipped a torn last line\n"
+
+
 def test_malformed_cache_middle_line_exits_2(files, tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["extremal", "f", "--n", "2", "--pattern", files["p"], "--cache-dir", str(cache)]
@@ -386,6 +402,68 @@ def test_prob_sweep_csv_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "k,ell,d,trials,avoid_count,undecided,estimate,conf99,seed"
     assert len(lines) == 3
+
+
+def _estimate_bytes(out: str) -> str:
+    """`prob estimate --format json` output without `equal_split_misses`,
+    re-emitted as the CLI prints JSON, so frozen outputs from before that
+    field was added still compare byte for byte."""
+    payload = json.loads(out)
+    for rep in payload.get("reports", [payload]):
+        del rep["equal_split_misses"]
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# (k, ell, d, trials, seed) -> (avoid_count, first 16 hex digits of the sha256
+# of the JSON output), recorded with TensorMatrix-built trials
+FROZEN_ESTIMATES = {
+    (34, 2, 2, 200, 11): (0, "c74a3cdfefe2a17a"),
+    (34, 2, 2, 200, 2026): (0, "504d222647dcd871"),
+    (119, 3, 2, 40, 11): (0, "e4663d8c9e736e1e"),
+    (119, 3, 2, 40, 2026): (0, "23ef7e1a4a38d2c2"),
+    (178, 2, 3, 100, 11): (0, "4f58a1858fdad5ca"),
+    (178, 2, 3, 100, 2026): (0, "52edf294f7c02927"),
+    (4, 2, 2, 200, 11): (57, "44b5affe0a371e24"),
+    (4, 2, 2, 200, 2026): (59, "c3380351311c89f7"),
+    (8, 2, 3, 200, 11): (179, "a5ebfb151574e1ea"),
+    (8, 2, 3, 200, 2026): (179, "26d6f93217edfe1b"),
+    (20, 2, 3, 200, 11): (0, "2e1e841e01fed926"),
+    (20, 2, 3, 200, 2026): (0, "083c613554381b8f"),
+}
+SWEEP_ARGV = ["prob", "estimate", "--sweep-k", "2,3,4,8,16", "--ell", "2", "--d", "2",
+              "--trials", "100", "--seed", "5"]
+FROZEN_SWEEP_TEXT = """\
+k,ell,d,trials,avoid_count,undecided,estimate,conf99,seed
+2,2,2,100,100,0,1.0,0.0,5
+3,2,2,100,100,0,1.0,0.0,5
+4,2,2,100,34,0,0.34,0.12201929344448607,5
+8,2,2,100,0,0,0.0,0.0,5
+16,2,2,100,0,0,0.0,0.0,5
+"""
+FROZEN_SWEEP_JSON = "af3708b3ff9a8ca3"
+
+
+def _estimate_argv(k, ell, d, trials, seed):
+    return ["prob", "estimate", "--k", str(k), "--ell", str(ell), "--d", str(d),
+            "--trials", str(trials), "--seed", str(seed), "--format", "json"]
+
+
+@pytest.mark.parametrize("point", list(FROZEN_ESTIMATES), ids=str)
+def test_frozen_estimates(point, capsys):
+    code, out = run(capsys, _estimate_argv(*point))
+    assert code == 0
+    got = (json.loads(out)["avoid_count"], _sha16(_estimate_bytes(out)))
+    assert got == FROZEN_ESTIMATES[point]
+
+
+def test_frozen_sweep(capsys):
+    assert run(capsys, SWEEP_ARGV) == (0, FROZEN_SWEEP_TEXT)
+    code, out = run(capsys, SWEEP_ARGV + ["--format", "json"])
+    assert (code, _sha16(_estimate_bytes(out))) == (0, FROZEN_SWEEP_JSON)
 
 
 def test_threads_do_not_change_bytes(capsys):

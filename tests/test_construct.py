@@ -53,6 +53,8 @@ FROZEN_PERMUTATION_DIGESTS = {
     (34, 3): "98d8118c5e17340c",
     (178, 2): "feecc90d7eb9186c",
     (178, 3): "66df344f9161a783",
+    (7, 4): "07ade4432222eb5e",
+    (34, 4): "c679a8a13e1be3a1",
 }
 
 

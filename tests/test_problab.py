@@ -7,9 +7,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 import patternforge.probability as probability
+from patternforge.construct import _permutation_columns, random_permutation
+from patternforge.containment import _equal_split_hits, has_interval_minor
 from patternforge.errors import (
     OrderingError,
     PreconditionError,
@@ -26,6 +31,7 @@ from patternforge.probability import (
     ratio_lower_bound,
     side_threshold,
 )
+from patternforge.tensor import all_ones
 
 
 class TestSideThreshold:
@@ -184,8 +190,52 @@ class TestAvoidProbability:
         with pytest.raises(StructureError):
             EstimateReport(
                 k=3, ell=2, d=2, trials=5, avoid_count=9, undecided=0,
-                estimate=1.8, conf99=0.0, seed=0,
+                estimate=1.8, conf99=0.0, seed=0, equal_split_misses=9,
             )
+        for misses in (1, 6):  # fewer than the avoiding trials, more than all
+            with pytest.raises(StructureError):
+                EstimateReport(
+                    k=3, ell=2, d=2, trials=5, avoid_count=2, undecided=0,
+                    estimate=0.4, conf99=0.0, seed=0, equal_split_misses=misses,
+                )
+
+    @pytest.mark.parametrize("k, d", [(3, 2), (7, 3), (15, 4)])
+    def test_every_trial_misses_below_one_per_block(self, k, d):
+        rep = avoid_probability(k, 2, d, trials=30, seed=4)
+        assert rep.equal_split_misses == rep.avoid_count == rep.trials == 30
+
+    def test_no_miss_at_the_threshold_when_every_split_hits(self):
+        # the seed of a frozen (34, 2, 2) estimate with avoid_count 0
+        rep = avoid_probability(34, 2, 2, trials=200, seed=11)
+        assert (rep.avoid_count, rep.equal_split_misses) == (0, 0)
+
+    def test_misses_count_splits_the_exact_sweep_overrules(self):
+        # at (20, 2, 3) some splits miss a block, yet every trial contains J2
+        rep = avoid_probability(20, 2, 3, trials=200, seed=11)
+        assert rep.avoid_count == 0 < rep.equal_split_misses
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        ell=st.sampled_from([2, 3]),
+        d=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**32),
+    )
+    # a split that misses on an avoider, and one the exact sweep overrules
+    @example(k=5, ell=2, d=2, seed=4)
+    @example(k=5, ell=2, d=2, seed=5)
+    def test_trial_matches_matrix_path(self, k, ell, d, seed):
+        cols = _permutation_columns(k, d, np.random.default_rng(np.random.SeedSequence([seed, 0])))
+        A = random_permutation(k, d, np.random.SeedSequence([seed, 0])).matrix
+        assert sorted(zip(range(1, k + 1), *cols)) == sorted(A.ones)
+        blocks = {tuple((c - 1) * ell // k for c in one) for one in A.ones}
+        hits = len(blocks) == ell**d
+        assert _equal_split_hits(zip(range(1, k + 1), *cols), (ell,) * d, (k,) * d) == hits
+        contains = has_interval_minor(A, all_ones((ell,) * d))
+        rep = avoid_probability(k, ell, d, trials=1, seed=seed)
+        assert (rep.avoid_count, rep.equal_split_misses) == (int(not contains), int(not hits))
+        if math.comb(k + ell, 2 * ell) ** d <= 5000:  # interval systems the oracle tries
+            assert oracles.minor_oracle(A, all_ones((ell,) * d)) == contains
 
 
 class TestRatioLowerBound:
