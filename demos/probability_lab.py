@@ -30,9 +30,10 @@ def main():
 
     k = side_threshold(2, 2)
     rep = probability_chain(k, 2, 2)
-    print(f"\nbound chain at k={k}, ell=2, d=2 (each strictly below the next):")
+    print(f"\nbound chain at k={k}, ell=2, d=2:")
     for name, v in zip(("base", "halved", "exponential", "final"), rep.values):
         print(f"  {name:12s} {v:.6g}")
+    print(f"  each strictly below the next: {rep.strict}")
     print(f"  closing value as an exact rational: {rep.final_bound_exact}")
 
     print("\nMonte Carlo avoidance estimates, ell=2, d=2, 500 trials, seed 42:")

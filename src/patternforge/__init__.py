@@ -24,7 +24,6 @@ from .construct import (
 )
 from .errors import (
     BudgetExceededError,
-    OrderingError,
     PatternforgeError,
     PreconditionError,
     RangeError,
@@ -78,7 +77,6 @@ __all__ = [
     "EstimateReport",
     "ExtremalRecord",
     "GridWitness",
-    "OrderingError",
     "PatternforgeError",
     "PermutationTensor",
     "PreconditionError",

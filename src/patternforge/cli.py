@@ -265,18 +265,10 @@ def _cmd_ratio_seq(args) -> int:
     return EXIT_OK
 
 
-def _estimate_lines(rep) -> list[str]:
-    return [
-        f"k: {rep.k}",
-        f"ell: {rep.ell}",
-        f"d: {rep.d}",
-        f"trials: {rep.trials}",
-        f"avoid_count: {rep.avoid_count}",
-        f"undecided: {rep.undecided}",
-        f"estimate: {rep.estimate!r}",
-        f"conf99: {rep.conf99!r}",
-        f"seed: {rep.seed}",
-    ]
+# the EstimateReport fields `prob estimate` prints as text and as sweep CSV
+_ESTIMATE_FIELDS = (
+    "k", "ell", "d", "trials", "avoid_count", "undecided", "estimate", "conf99", "seed"
+)
 
 
 def _cmd_prob(args) -> int:
@@ -296,7 +288,7 @@ def _cmd_prob(args) -> int:
         _emit(args, rep.to_json(), lines)
         return EXIT_OK
     if what == "chain":
-        rep = _prob.probability_chain(args.k, args.ell, args.d, require_strict=False)
+        rep = _prob.probability_chain(args.k, args.ell, args.d)
         names = ("base", "halved", "exponential", "final")
         lines = [f"{n}: {v!r}" for n, v in zip(names, rep.values)] + [
             f"strict: {rep.strict}",
@@ -311,15 +303,15 @@ def _cmd_prob(args) -> int:
             for k in args.sweep_k
         ]
         payload = {"reports": [r.to_json() for r in reports]}
-        lines = ["k,ell,d,trials,avoid_count,undecided,estimate,conf99,seed"] + [
-            f"{r.k},{r.ell},{r.d},{r.trials},{r.avoid_count},{r.undecided},"
-            f"{r.estimate!r},{r.conf99!r},{r.seed}"
+        lines = [",".join(_ESTIMATE_FIELDS)] + [
+            ",".join(repr(getattr(r, name)) for name in _ESTIMATE_FIELDS)
             for r in reports
         ]
         _emit(args, payload, lines)
         return EXIT_OK
     rep = _prob.avoid_probability(args.k, args.ell, args.d, args.trials, args.seed)
-    _emit(args, rep.to_json(), _estimate_lines(rep))
+    lines = [f"{name}: {getattr(rep, name)!r}" for name in _ESTIMATE_FIELDS]
+    _emit(args, rep.to_json(), lines)
     return EXIT_OK
 
 
@@ -522,6 +514,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except (PatternforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # an argument too large for a float or C integer
+        print(f"error: argument too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -132,7 +132,16 @@ class GridWitness:
     def from_json(cls, data: dict) -> "GridWitness":
         if not isinstance(data, dict) or "axes" not in data:
             raise StructureError("witness JSON needs an 'axes' key")
-        return cls(data["axes"])
+        axes = data["axes"]
+        # int() in the constructor would truncate floats and read booleans
+        # and digit strings
+        if not isinstance(axes, list) or not all(
+            isinstance(row, list)
+            and all(isinstance(iv, list) and set(map(type, iv)) <= {int} for iv in row)
+            for row in axes
+        ):
+            raise StructureError("witness axes must be lists of [int, int] intervals")
+        return cls(axes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridWitness):
@@ -316,9 +325,11 @@ def contains_pattern(
 _LABEL_BYTES = 1 << 23
 
 
-def _allones_minor(A: TensorMatrix, ks: tuple[int, ...]) -> bool:
-    """Does A contain the all-ones pattern of extents `ks` as an interval
-    minor?  Only the list of ones of A is read.
+def _allones_minor(
+    ones: Collection[Coord], ks: tuple[int, ...], dims: tuple[int, ...]
+) -> bool:
+    """Does the matrix of extents `dims` with the distinct ones `ones`
+    contain the all-ones pattern of extents `ks` as an interval minor?
 
     Witness intervals of an all-ones target widen into axis partitions.
     Each tuple of cuts on axes 1..d-1, placed between distinct coordinates
@@ -327,11 +338,11 @@ def _allones_minor(A: TensorMatrix, ks: tuple[int, ...]) -> bool:
     block, but never between ones sharing a last coordinate.  Blocks hit
     only grow with the interval, so this greedy is exact.
     """
-    m = A.ones_count
+    m = len(ones)
     if m < math.prod(ks):
         return False
-    ones = sorted(A.ones, key=lambda c: c[-1])
-    X = np.array(ones, np.min_scalar_type(max(A.dims)))
+    ones = sorted(ones, key=lambda c: c[-1])
+    X = np.array(ones, np.min_scalar_type(max(dims)))
     cuts = []  # per leading axis: rows of ks[ax] - 1 increasing cut values
     for ax, k in enumerate(ks[:-1]):
         # a cut after value v puts the ones with coordinate <= v before it
@@ -388,6 +399,7 @@ def _witness_search(
     requires, widened to the loosest range still-unplaced intervals could
     occupy, must contain a 1 of A.
     """
+    _check_same_d(A, B)
     ns = A.dims
     ks = B.dims
     d = A.d
@@ -460,16 +472,6 @@ def _equal_split_hits(
     return False
 
 
-def _allones_answer(A: TensorMatrix, B: TensorMatrix) -> bool | None:
-    """The sparse decision when B is all ones, None when B has a 0: the
-    equal split first, and when it misses a block, the exact sweep
-    `_allones_minor`."""
-    _check_same_d(A, B)
-    if B.ones_count != B.cell_count:
-        return None
-    return _equal_split_hits(A.ones, B.dims, A.dims) or _allones_minor(A, B.dims)
-
-
 def has_interval_minor(
     A: TensorMatrix, B: TensorMatrix, node_budget: int | None = None
 ) -> bool:
@@ -481,9 +483,11 @@ def has_interval_minor(
     with the ones of A and the cut tuples between them, not with the cells
     of A.  Other targets run the witness search.
     """
-    answer = _allones_answer(A, B)
-    if answer is not None:
-        return answer
+    if B.ones_count == B.cell_count:
+        _check_same_d(A, B)
+        return _equal_split_hits(A.ones, B.dims, A.dims) or _allones_minor(
+            A.ones, B.dims, A.dims
+        )
     return _witness_search(A, B, node_budget) is not None
 
 
@@ -501,6 +505,6 @@ def contains_interval_minor(
     all-ones B is first decided sparsely (equal split, then the sweep), so a
     host without the minor returns None before any search.
     """
-    if _allones_answer(A, B) is False:
+    if B.ones_count == B.cell_count and not has_interval_minor(A, B):
         return None
     return _witness_search(A, B, node_budget)

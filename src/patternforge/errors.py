@@ -41,15 +41,3 @@ class VerificationError(PatternforgeError):
     This signals an implementation or data-integrity bug, never bad user input.
     """
 
-
-class OrderingError(PatternforgeError):
-    """A claimed strict ordering of computed values does not hold here.
-
-    Raised by the probability-chain evaluator for parameter ranges where the
-    chained inequalities genuinely degenerate (e.g. the first two expressions
-    coincide at k = 2*ell); carries the computed values for inspection.
-    """
-
-    def __init__(self, message: str, values: tuple = ()):
-        super().__init__(message)
-        self.values = values

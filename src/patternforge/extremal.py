@@ -45,7 +45,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
             raise PreconditionError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise PreconditionError("time budget must be positive")
 
     def fingerprint(self) -> str:

@@ -9,8 +9,8 @@ expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
 The bound rests on the paper's equal split: a permutation whose split into
 ell^d equal blocks hits every block contains the pattern.  A trial draws
-the permutation as columns, tests that split on them, and builds a matrix
-for the exact decider only when the split misses a block; the misses are
+the permutation as columns, tests that split on them, and runs the exact
+decider on the same ones only when the split misses a block; the misses are
 reported as `equal_split_misses`, the event the union bound bounds.
 `probability_chain` compares floats; only `ChainReport.final_bound_exact` and
 `ratio_lower_bound` are exact rationals (Fraction).
@@ -26,8 +26,7 @@ import numpy as np
 
 from .construct import _permutation_columns
 from .containment import _allones_minor, _equal_split_hits
-from .errors import OrderingError, PreconditionError, RangeError, StructureError
-from .tensor import PermutationTensor, TensorMatrix
+from .errors import PreconditionError, RangeError, StructureError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
 
@@ -113,9 +112,7 @@ class ChainReport:
         }
 
 
-def probability_chain(
-    k: int, ell: int, d: int, require_strict: bool = True
-) -> ChainReport:
+def probability_chain(k: int, ell: int, d: int) -> ChainReport:
     """Evaluate the four-step bound chain
 
         (1 - (1/ell - 1/k)^(d-1))^(k/ell - 1)
@@ -123,11 +120,11 @@ def probability_chain(
           < exp(-k / (2 ell)^d)
           < ell^-(d+1)
 
-    and check that each inequality is strict.  Requires k >= 2*ell >= 4.
+    and report whether each inequality is strict.  Requires k >= 2*ell >= 4.
     The chain can legitimately degenerate at the edge of that range (at
     k = 2*ell the first two expressions coincide, and the final inequality
-    needs k past the side threshold); with require_strict the evaluator
-    raises OrderingError there instead of handing back an unchecked list.
+    needs k past the side threshold); the report's `strict` is False there,
+    and only a strict chain bounds the per-block miss probability.
     """
     if ell < 2:
         raise PreconditionError(f"need ell >= 2, got {ell}")
@@ -140,18 +137,12 @@ def probability_chain(
     exponential = math.exp(-k / (2 * ell) ** d)
     final = ell ** -(d + 1)
     values = (base, halved, exponential, final)
-    strict = base < halved < exponential < final
-    if require_strict and not strict:
-        raise OrderingError(
-            f"chain not strictly ordered at k={k}, ell={ell}, d={d}: {values}",
-            values=values,
-        )
     return ChainReport(
         k=k,
         ell=ell,
         d=d,
         values=values,
-        strict=strict,
+        strict=base < halved < exponential < final,
         final_bound_exact=Fraction(1, ell ** (d + 1)),
     )
 
@@ -200,8 +191,8 @@ def avoid_probability(
     SeedSequence([seed, t]))`, as d-1 columns, each checked to be a
     permutation.  The paper's equal split is tested on the ones they give; a
     trial whose split hits every block contains the pattern.  Only a trial
-    whose split misses a block, counted in `equal_split_misses`, builds the
-    `PermutationTensor` and runs the exact sweep.  With k < ell^d there are
+    whose split misses a block, counted in `equal_split_misses`, hands the
+    same set of ones to the exact sweep.  With k < ell^d there are
     fewer ones than blocks, so every trial avoids and misses, and none is
     drawn.  Each trial is decided exactly, so `undecided` is 0.
     """
@@ -229,8 +220,7 @@ def avoid_probability(
         if _equal_split_hits(ones, ks, dims):
             continue
         misses += 1
-        P = PermutationTensor(TensorMatrix(dims, ones))
-        avoid_count += not _allones_minor(P.matrix, ks)
+        avoid_count += not _allones_minor(ones, ks, dims)
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)
     return EstimateReport(

@@ -460,6 +460,26 @@ def test_frozen_estimates(point, capsys):
     assert got == FROZEN_ESTIMATES[point]
 
 
+# `prob estimate --k 4 --ell 2 --d 2 --trials 200 --seed 11` text output,
+# recorded before the text lines and the sweep CSV shared one field list
+FROZEN_ESTIMATE_TEXT = """\
+k: 4
+ell: 2
+d: 2
+trials: 200
+avoid_count: 57
+undecided: 0
+estimate: 0.285
+conf99: 0.08222001139847579
+seed: 11
+"""
+
+
+def test_frozen_estimate_text(capsys):
+    argv = _estimate_argv(4, 2, 2, 200, 11)[:-2]
+    assert run(capsys, argv) == (0, FROZEN_ESTIMATE_TEXT)
+
+
 def test_frozen_sweep(capsys):
     assert run(capsys, SWEEP_ARGV) == (0, FROZEN_SWEEP_TEXT)
     code, out = run(capsys, SWEEP_ARGV + ["--format", "json"])
@@ -598,6 +618,60 @@ def test_malformed_witness_json_exits_2(tmp_path, capsys):
     wit.write_text('{"axes": [[[1, 2], [3, 4]]')
     code = main(["construct", "corner-reduce", "--p", str(perm), "--witness", str(wit)])
     assert capsys.readouterr().err.startswith("error: ")
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        "5",
+        "[5]",
+        "[[5]]",
+        '[[["a", 2]]]',
+        "[[[1.5, 2], [3, 4]], [[1, 2], [3, 4]]]",
+        "[[[true, 2], [3, 4]], [[1, 2], [3, 4]]]",
+        '[[[1, "2"], [3, 4]], [[1, 2], [3, 4]]]',
+    ],
+    ids=["axes-int", "axis-int", "interval-int", "string-end", "float-end",
+         "bool-end", "digit-string-end"],
+)
+def test_malformed_witness_axes_exit_2(tmp_path, capsys, axes):
+    perm = tmp_path / "cyc.tsr"
+    perm.write_text(
+        serialize_tensor(TensorMatrix((4, 4), [(1, 2), (2, 4), (3, 1), (4, 3)]))
+    )
+    wit = tmp_path / "w.json"
+    wit.write_text(f'{{"axes": {axes}}}')
+    code = main(["construct", "corner-reduce", "--p", str(perm), "--witness", str(wit)])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "chain", "--k", str(10**400), "--ell", "2", "--d", "2"],
+        ["prob", "threshold", "--ell", str(10**400), "--d", "2"],
+        ["prob", "ell", "--k", str(10**400), "--d", "2"],
+        ["prob", "threshold", "--ell", "2", "--d", "100000"],
+    ],
+    ids=["chain-k", "threshold-ell", "ell-k", "threshold-d"],
+)
+def test_float_overflow_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert code == 2
+
+
+def test_nan_time_budget_exits_2(files, capsys):
+    code = main(["extremal", "f", "--n", "6", "--pattern", files["p"],
+                 "--budget-secs", "nan"])
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "time budget" in captured.err
+    assert captured.out == ""
     assert code == 2
 
 

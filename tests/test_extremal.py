@@ -170,8 +170,9 @@ class TestBudgets:
     def test_bad_budgets_rejected(self):
         with pytest.raises(PreconditionError):
             SearchConfig(node_budget=0)
-        with pytest.raises(PreconditionError):
-            SearchConfig(time_budget=-1)
+        for secs in (-1, float("nan")):
+            with pytest.raises(PreconditionError):
+                SearchConfig(time_budget=secs)
 
     def test_fingerprint_is_stable(self):
         # records cached by earlier versions are keyed by this digest

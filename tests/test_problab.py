@@ -15,12 +15,7 @@ import oracles
 import patternforge.probability as probability
 from patternforge.construct import _permutation_columns, random_permutation
 from patternforge.containment import _equal_split_hits, has_interval_minor
-from patternforge.errors import (
-    OrderingError,
-    PreconditionError,
-    RangeError,
-    StructureError,
-)
+from patternforge.errors import PreconditionError, RangeError, StructureError
 from patternforge.probability import (
     ChainReport,
     EllReport,
@@ -111,18 +106,14 @@ class TestProbabilityChain:
 
     def test_degenerates_at_twice_ell(self):
         # first two expressions coincide exactly at k = 2*ell
-        with pytest.raises(OrderingError) as exc:
-            probability_chain(4, 2, 2)
-        assert exc.value.values[0] == exc.value.values[1]
-        rep = probability_chain(4, 2, 2, require_strict=False)
+        rep = probability_chain(4, 2, 2)
+        assert rep.values[0] == rep.values[1]
         assert not rep.strict
 
     def test_final_bound_rational_identity(self):
         for ell in (2, 3, 5):
             for d in (2, 3):
-                rep = probability_chain(
-                    side_threshold(ell, d), ell, d, require_strict=False
-                )
+                rep = probability_chain(side_threshold(ell, d), ell, d)
                 assert rep.final_bound_exact == Fraction(1, ell ** (d + 1))
                 # ell^d blocks, each below the final bound: exactly 1/ell
                 assert ell**d * rep.final_bound_exact == Fraction(1, ell)
