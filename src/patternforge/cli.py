@@ -128,6 +128,14 @@ def _cache_dir(args) -> str | None:
     return os.environ.get("PATTERNFORGE_CACHE") or None
 
 
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(
+        node_budget=args.budget_nodes,
+        time_budget=args.budget_secs,
+        cache_dir=_cache_dir(args),
+    )
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -226,13 +234,8 @@ def _record_lines(rec) -> list[str]:
 
 def _cmd_extremal(args) -> int:
     P = _load_tensor(args.pattern)
-    cfg = SearchConfig(
-        node_budget=args.budget_nodes,
-        time_budget=args.budget_secs,
-        cache_dir=_cache_dir(args),
-    )
     run = max_ones_avoiding if args.kind == "f" else max_ones_avoiding_minor
-    rec = run(args.n, P, cfg)
+    rec = run(args.n, P, _search_config(args))
     _emit(args, rec.to_json(), _record_lines(rec))
     return EXIT_OK if rec.status == "exact" else EXIT_UNDECIDED
 
@@ -243,12 +246,8 @@ def _cmd_ratio_seq(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     P = _load_tensor(args.pattern)
-    cfg = SearchConfig(
-        node_budget=args.budget_nodes,
-        time_budget=args.budget_secs,
-        cache_dir=_cache_dir(args),
-    )
-    pts = ratio_sequence(P, range(args.n_from, args.n_to + 1), cfg, kind=args.kind)
+    n_range = range(args.n_from, args.n_to + 1)
+    pts = ratio_sequence(P, n_range, _search_config(args), kind=args.kind)
     payload = {
         "kind": args.kind,
         "points": [
@@ -371,6 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
+    def search_flags(p):  # the flags `_search_config` reads
+        p.add_argument("--budget-nodes", type=_positive, default=None)
+        p.add_argument("--budget-secs", type=float, default=None)
+        p.add_argument("--cache-dir", default=None)
+
     p = common(sub.add_parser("contains", help="ordinary submatrix containment"))
     p.add_argument("--a", required=True, help="host tensor (file or allones:...)")
     p.add_argument("--p", required=True, help="pattern tensor")
@@ -437,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = common(esub.add_parser(kind, help=f"max ones avoiding ({blurb})"))
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--pattern", required=True)
-        p.add_argument("--budget-nodes", type=_positive, default=None)
-        p.add_argument("--budget-secs", type=float, default=None)
-        p.add_argument("--cache-dir", default=None)
+        search_flags(p)
         p.set_defaults(func=_cmd_extremal)
 
     p = common(sub.add_parser("ratio-seq", help="value / n^(d-1) over a range of n"))
@@ -447,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
     p.add_argument("--kind", choices=("f", "m"), default="f")
-    p.add_argument("--budget-nodes", type=_positive, default=None)
-    p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--cache-dir", default=None)
+    search_flags(p)
     p.set_defaults(func=_cmd_ratio_seq)
 
     pp = sub.add_parser("prob", help="threshold formulas and Monte Carlo")

@@ -52,7 +52,11 @@ def _permutation_columns(k: int, d: int, rng: np.random.Generator) -> list[list[
     d-1 axes from one call; numpy draws each bounded element from the
     generator's stream in turn, so the one call draws what d-1 calls would.
     """
-    swaps = iter(rng.integers(0, np.tile(np.arange(k, 1, -1), d - 1)).tolist())
+    try:
+        highs = np.tile(np.arange(k, 1, -1), d - 1)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size before allocating
+        raise RangeError(f"side k too large to shuffle ({exc})") from None
+    swaps = iter(rng.integers(0, highs).tolist())
     cols = []
     for _ in range(d - 1):
         perm = list(range(1, k + 1))

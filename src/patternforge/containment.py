@@ -17,14 +17,16 @@ block non-empty and never raises the flattened endpoint tuple, so the
 lex-least witness has a_1 = 1 and a_{j+1} = b_j + 1 on every axis: the
 witness search places interval ends only.
 
-Both deciders are exact and deterministic; an optional node budget turns
-runaway searches into an explicit undecided error instead of a wrong answer.
+Both deciders are exact and deterministic.  `find_embedding` and
+`contains_interval_minor` take an optional node budget that turns a runaway
+search into an explicit undecided error instead of a wrong answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -194,18 +196,24 @@ def verify_witness(A: TensorMatrix, B: TensorMatrix, W: GridWitness) -> bool:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """Node and time limits of one search, None for no limit: `spend`, called
+    once per node, raises BudgetExceededError on the node past `nodes` or
+    once `seconds` have passed.  Without limits it is a single check."""
 
-    def __init__(self, limit: int | None):
-        self.left = limit
+    __slots__ = ("left", "deadline")
+
+    def __init__(self, nodes: int | None = None, seconds: float | None = None):
+        self.left = math.inf if nodes is None and seconds is not None else nodes
+        self.deadline = math.inf if seconds is None else time.perf_counter() + seconds
 
     def spend(self) -> None:
         if self.left is None:
             return
         self.left -= 1
-        if self.left < 0:
+        if self.left < 0 or time.perf_counter() > self.deadline:
+            limit = "node" if self.left < 0 else "time"
             raise BudgetExceededError(
-                "node budget exhausted before the search finished; undecided"
+                f"{limit} budget exhausted before the search finished; undecided"
             )
 
 
@@ -308,12 +316,10 @@ def _embedding(
     return None
 
 
-def contains_pattern(
-    A: TensorMatrix, P: TensorMatrix, node_budget: int | None = None
-) -> bool:
+def contains_pattern(A: TensorMatrix, P: TensorMatrix) -> bool:
     """Ordinary containment decision.  A pattern with no ones is contained
     exactly when its extents fit (the empty embedding extends)."""
-    return find_embedding(A, P, node_budget) is not None
+    return find_embedding(A, P) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +390,7 @@ def _allones_minor(
 
 
 def _witness_search(
-    A: TensorMatrix, B: TensorMatrix, node_budget: int | None
+    A: TensorMatrix, B: TensorMatrix, node_budget: int | None = None
 ) -> GridWitness | None:
     """Depth-first search for the flattened-lex-least grid witness.
 
@@ -472,23 +478,21 @@ def _equal_split_hits(
     return False
 
 
-def has_interval_minor(
-    A: TensorMatrix, B: TensorMatrix, node_budget: int | None = None
-) -> bool:
+def has_interval_minor(A: TensorMatrix, B: TensorMatrix) -> bool:
     """Interval-minor decision without certificate construction.
 
-    All-ones targets spend no node budget.  They first try the equal split
-    of every axis, one pass over the ones of A that answers True when it
-    hits every block; otherwise the sparse decider runs, whose work grows
-    with the ones of A and the cut tuples between them, not with the cells
-    of A.  Other targets run the witness search.
+    All-ones targets first try the equal split of every axis, one pass over
+    the ones of A that answers True when it hits every block; otherwise the
+    sparse decider runs, whose work grows with the ones of A and the cut
+    tuples between them, not with the cells of A.  Other targets run the
+    witness search.
     """
     if B.ones_count == B.cell_count:
         _check_same_d(A, B)
         return _equal_split_hits(A.ones, B.dims, A.dims) or _allones_minor(
             A.ones, B.dims, A.dims
         )
-    return _witness_search(A, B, node_budget) is not None
+    return _witness_search(A, B) is not None
 
 
 def contains_interval_minor(

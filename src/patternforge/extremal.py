@@ -11,6 +11,7 @@ JSONL and later runs resume from the cached best.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import sys
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .containment import _embedding, contains_pattern, has_interval_minor
-from .errors import PreconditionError, StructureError, TensorParseError, VerificationError
+from .containment import _Budget, _embedding, contains_pattern, has_interval_minor
+from .errors import (
+    BudgetExceededError, PreconditionError, StructureError, TensorParseError, VerificationError
+)
 from .tensor import (
     Coord,
     TensorMatrix,
@@ -30,6 +33,12 @@ from .tensor import (
 )
 
 _ALGO = "bnb-lex-1"
+
+# "reflect" was an optional symmetry cut, since removed; the key stays so that
+# records cached under earlier versions keep matching
+_FINGERPRINT = hashlib.sha256(
+    json.dumps({"algo": _ALGO, "reflect": False}, sort_keys=True).encode()
+).hexdigest()[:16]
 
 RECORDS_FILENAME = "records.jsonl"
 
@@ -50,12 +59,7 @@ class SearchConfig:
 
     def fingerprint(self) -> str:
         """Digest of everything that can influence the found witness."""
-        import hashlib
-
-        # "reflect" was an optional symmetry cut, since removed; the key stays
-        # so that records cached under earlier versions keep matching
-        payload = json.dumps({"algo": _ALGO, "reflect": False}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return _FINGERPRINT
 
 
 @dataclass(frozen=True)
@@ -192,34 +196,24 @@ class _MinorChecker:
 # ---------------------------------------------------------------------------
 
 
-class _Stop(Exception):
-    pass
-
-
 def _branch_and_bound(
     dims: tuple[int, ...],
     creates_containment,
     cfg: SearchConfig,
-    seed_value: int,
-    seed_ones: frozenset[Coord] | None,
+    seed: ExtremalRecord | None,
 ):
-    cells = sorted(itertools.product(*(range(1, n + 1) for n in dims)))
+    """(value, ones, status) of the best avoider found, starting from the
+    cached `seed`; one budget node is one call of `rec`."""
+    cells = list(itertools.product(*(range(1, n + 1) for n in dims)))  # lex order
     total = len(cells)
-    best_value = max(seed_value, 0)
-    best_ones = seed_ones or frozenset()
+    best_value = seed.value if seed else 0
+    best_ones = seed.witness.ones if seed else frozenset()
     chosen: list[Coord] = []
-    nodes = 0
-    deadline = (
-        time.perf_counter() + cfg.time_budget if cfg.time_budget is not None else None
-    )
+    budget = _Budget(cfg.node_budget, cfg.time_budget)
 
     def rec(i: int) -> None:
-        nonlocal nodes, best_value, best_ones
-        nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
-            raise _Stop
-        if deadline is not None and nodes % 256 == 0 and time.perf_counter() > deadline:
-            raise _Stop
+        nonlocal best_value, best_ones
+        budget.spend()
         if len(chosen) > best_value:
             best_value = len(chosen)
             best_ones = frozenset(chosen)
@@ -232,12 +226,11 @@ def _branch_and_bound(
             chosen.pop()
         rec(i + 1)
 
-    status = "exact"
     try:
         rec(0)
-    except _Stop:
-        status = "lower-bound-only"
-    return best_value, best_ones, status, nodes
+    except BudgetExceededError:
+        return best_value, best_ones, "lower-bound-only"
+    return best_value, best_ones, "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +373,8 @@ def _run(
     if exact is not None:
         exact.verify()
         return exact
-    seed_value, seed_ones = -1, None
     if seed is not None:
         seed.verify()
-        seed_value, seed_ones = seed.value, seed.witness.ones
 
     if kind == "f":
         # cells arrive in lex order, so the new cell is the lex-greatest one
@@ -392,9 +383,7 @@ def _run(
     else:
         creates_containment = _MinorChecker(dims, P).creates_containment
     start = time.perf_counter()
-    value, ones, status, _nodes = _branch_and_bound(
-        dims, creates_containment, cfg, seed_value, seed_ones
-    )
+    value, ones, status = _branch_and_bound(dims, creates_containment, cfg, seed)
     elapsed = time.perf_counter() - start
     rec = ExtremalRecord(
         kind=kind,

@@ -655,8 +655,16 @@ def test_malformed_witness_axes_exit_2(tmp_path, capsys, axes):
         ["prob", "threshold", "--ell", str(10**400), "--d", "2"],
         ["prob", "ell", "--k", str(10**400), "--d", "2"],
         ["prob", "threshold", "--ell", "2", "--d", "100000"],
+        # numpy refuses the shuffle's array: too many elements, too many bytes
+        ["prob", "estimate", "--k", str(10**400), "--ell", "2", "--d", "2",
+         "--trials", "1", "--seed", "1"],
+        ["construct", "random-perm", "--k", str(10**400), "--d", "2", "--seed", "1"],
+        ["prob", "estimate", "--k", str(10**11), "--ell", "2", "--d", "2",
+         "--trials", "1", "--seed", "1"],
+        ["construct", "random-perm", "--k", str(10**11), "--d", "2", "--seed", "1"],
     ],
-    ids=["chain-k", "threshold-ell", "ell-k", "threshold-d"],
+    ids=["chain-k", "threshold-ell", "ell-k", "threshold-d", "estimate-k-size",
+         "random-perm-k-size", "estimate-k-bytes", "random-perm-k-bytes"],
 )
 def test_float_overflow_exits_2(capsys, argv):
     code = main(argv)

@@ -154,9 +154,9 @@ class TestBlowupAvoider:
         # force the post-check to see a violation: a real one cannot occur
         real = construct.has_interval_minor
 
-        def lying(A, B, node_budget=None):
+        def lying(A, B):
             # the 2x2 inputs pass the precondition; every larger output fails
-            return A.dims[0] > 2 or real(A, B, node_budget)
+            return A.dims[0] > 2 or real(A, B)
 
         monkeypatch.setattr(construct, "has_interval_minor", lying)
         N = TensorMatrix((2, 2), [(1, 1), (1, 2), (2, 1)])

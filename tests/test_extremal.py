@@ -150,6 +150,38 @@ class TestMinorChecker:
         assert got == oracles.minor_oracle(A, B)
 
 
+ROW1 = [(1, 1), (1, 2), (1, 3), (1, 4)]
+CORNER = ROW1 + [(2, 1), (3, 1), (4, 1)]  # the lex-first maximum for I2 and J2
+P3X3 = TensorMatrix((3, 3), [(1, 1), (1, 3), (2, 2), (3, 1)])
+P3X3_FOUND = ROW1 + [(2, 1), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)]
+P3X3_MAX = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+            (3, 4), (4, 2), (4, 3), (4, 4)]
+LB = "lower-bound-only"
+# (budget, value, status, witness) at n=4, recorded when branch and bound
+# still counted its own nodes; the last two budgets bracket the node count of
+# the whole search, so an off-by-one in the node accounting fails here
+FROZEN_BUDGETED = [
+    ("f", IDENTITY2, [(1, 0, LB, []), (2, 1, LB, [(1, 1)]), (5, 4, LB, ROW1),
+                      (17, 7, LB, CORNER), (50, 7, LB, CORNER), (100, 7, LB, CORNER),
+                      (1000, 7, LB, CORNER), (5000, 7, "exact", CORNER),
+                      (1796, 7, LB, CORNER), (1797, 7, "exact", CORNER)]),
+    ("f", P3X3, [(1, 0, LB, []), (2, 1, LB, [(1, 1)]), (5, 4, LB, ROW1),
+                 (17, 12, LB, P3X3_FOUND), (50, 12, LB, P3X3_FOUND),
+                 (100, 12, LB, P3X3_FOUND), (1000, 13, "exact", P3X3_MAX),
+                 (5000, 13, "exact", P3X3_MAX), (437, 13, LB, P3X3_MAX),
+                 (438, 13, "exact", P3X3_MAX)]),
+    ("m", all_ones((2, 2)), [(1, 0, LB, []), (2, 1, LB, [(1, 1)]), (5, 4, LB, ROW1),
+                             (17, 7, LB, CORNER), (50, 7, LB, CORNER),
+                             (100, 7, LB, CORNER), (1000, 7, LB, CORNER),
+                             (5000, 7, "exact", CORNER), (4372, 7, LB, CORNER),
+                             (4373, 7, "exact", CORNER)]),
+    ("m", IDENTITY2, [(1, 0, LB, []), (2, 1, LB, [(1, 1)]), (5, 4, LB, ROW1),
+                      (17, 7, LB, CORNER), (50, 7, LB, CORNER), (100, 7, LB, CORNER),
+                      (1000, 7, LB, CORNER), (5000, 7, "exact", CORNER),
+                      (1796, 7, LB, CORNER), (1797, 7, "exact", CORNER)]),
+]
+
+
 class TestBudgets:
     def test_node_budget_gives_lower_bound_status(self):
         rec = max_ones_avoiding(4, IDENTITY2, SearchConfig(node_budget=5))
@@ -157,9 +189,18 @@ class TestBudgets:
         assert rec.witness.ones_count == rec.value
         assert not contains_pattern(rec.witness, IDENTITY2)
 
+    @pytest.mark.parametrize("kind, P, results", FROZEN_BUDGETED,
+                             ids=["f-I2", "f-3x3", "m-J2", "m-I2"])
+    def test_frozen_node_budgeted_results(self, kind, P, results):
+        run = max_ones_avoiding if kind == "f" else max_ones_avoiding_minor
+        for budget, value, status, ones in results:
+            rec = run(4, P, SearchConfig(node_budget=budget))
+            assert (rec.value, rec.status, sorted(rec.witness.ones)) == (value, status, ones)
+
     def test_time_budget_gives_lower_bound_status(self):
-        rec = max_ones_avoiding(5, IDENTITY2, SearchConfig(time_budget=1e-9))
-        assert rec.status == "lower-bound-only"
+        for run in (max_ones_avoiding, max_ones_avoiding_minor):
+            rec = run(5, IDENTITY2, SearchConfig(time_budget=1e-9))
+            assert rec.status == "lower-bound-only"
 
     def test_budget_value_never_exceeds_exact(self):
         exact = max_ones_avoiding(4, IDENTITY2).value
