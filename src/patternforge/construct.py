@@ -43,19 +43,28 @@ def identity_permutation(k: int, d: int) -> PermutationTensor:
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 
-def _permutation_columns(k: int, d: int, rng: np.random.Generator) -> list[list[int]]:
+def _swap_bounds(k: int, d: int) -> np.ndarray:
+    """Upper ends k-1 .. 1 of the swap partners of `_permutation_columns`,
+    once for each of axes 2..d.  numpy refuses a size it cannot hold before
+    it allocates anything, and that refusal is the range check on k."""
+    try:
+        return np.tile(np.arange(k, 1, -1), d - 1)
+    except (ValueError, MemoryError) as exc:
+        raise RangeError(f"side k too large to shuffle ({exc})") from None
+
+
+def _permutation_columns(
+    k: int, d: int, rng: np.random.Generator, highs: np.ndarray
+) -> list[list[int]]:
     """Coordinates on axes 2..d of the ones of a random permutation matrix of
     side k, ordered by the first coordinate: d-1 Fisher-Yates shuffles of
     1..k, one after another from `rng`.
 
     The swap partner of every i = k-1 .. 1, drawn from [0, i], comes for all
-    d-1 axes from one call; numpy draws each bounded element from the
-    generator's stream in turn, so the one call draws what d-1 calls would.
+    d-1 axes from one call bounded by `highs`, which is `_swap_bounds(k, d)`;
+    numpy draws each bounded element from the generator's stream in turn, so
+    the one call draws what d-1 calls would.
     """
-    try:
-        highs = np.tile(np.arange(k, 1, -1), d - 1)
-    except (ValueError, MemoryError) as exc:  # numpy refuses the size before allocating
-        raise RangeError(f"side k too large to shuffle ({exc})") from None
     swaps = iter(rng.integers(0, highs).tolist())
     cols = []
     for _ in range(d - 1):
@@ -72,12 +81,16 @@ def random_permutation(
 ) -> PermutationTensor:
     """Random permutation matrix: ones at (i, s_2(i), ..., s_d(i)) for d-1
     independent uniform permutations s_2..s_d, Fisher-Yates shuffled from the
-    seeded generator.  Deterministic for a fixed seed."""
+    seeded generator.  Deterministic for a fixed seed; an integer seed must
+    be nonnegative."""
     if k < 1 or d < 2:
         raise RangeError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    cols = _permutation_columns(k, d, np.random.default_rng(seed))
+        seed = int(seed)
+        if seed < 0:
+            raise RangeError(f"need seed >= 0, got {seed}")
+        seed = np.random.SeedSequence(seed)
+    cols = _permutation_columns(k, d, np.random.default_rng(seed), _swap_bounds(k, d))
     ones = list(zip(range(1, k + 1), *cols))
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 

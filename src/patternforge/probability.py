@@ -9,9 +9,10 @@ expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
 The bound rests on the paper's equal split: a permutation whose split into
 ell^d equal blocks hits every block contains the pattern.  A trial draws
-the permutation as columns, tests that split on them, and runs the exact
-decider on the same ones only when the split misses a block; the misses are
-reported as `equal_split_misses`, the event the union bound bounds.
+the permutation as columns, reads the block of each 1 off them in a table
+built once per estimate, and builds the ones for the exact decider only
+when the split misses a block; the misses are reported as
+`equal_split_misses`, the event the union bound bounds.
 `probability_chain` compares floats; only `ChainReport.final_bound_exact` and
 `ratio_lower_bound` are exact rationals (Fraction).
 """
@@ -24,8 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import _permutation_columns
-from .containment import _allones_minor, _equal_split_hits
+from .construct import _permutation_columns, _swap_bounds
+from .containment import _allones_minor
 from .errors import PreconditionError, RangeError, StructureError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
@@ -176,6 +177,17 @@ class EstimateReport:
         return asdict(self)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of an integer n >= 0, the words numpy's
+    `SeedSequence` splits it into (0 gives one word)."""
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def avoid_probability(
     k: int,
     ell: int,
@@ -189,12 +201,16 @@ def avoid_probability(
     Trials run one after another on one thread; trial t uses the seed stream
     (seed, t) and draws the same permutation as `random_permutation(k, d,
     SeedSequence([seed, t]))`, as d-1 columns, each checked to be a
-    permutation.  The paper's equal split is tested on the ones they give; a
-    trial whose split hits every block contains the pattern.  Only a trial
-    whose split misses a block, counted in `equal_split_misses`, hands the
-    same set of ones to the exact sweep.  With k < ell^d there are
-    fewer ones than blocks, so every trial avoids and misses, and none is
-    drawn.  Each trial is decided exactly, so `undecided` is 0.
+    permutation.  What depends only on (k, ell, d, seed) is built once per
+    estimate: the swap bounds of the shuffles, the table of the part of
+    the equal split each coordinate falls in (every axis has extent k and
+    ell parts), and the seed's 32-bit words.  A trial looks up the block of
+    each of its ones in that table; one whose split hits every block
+    contains the pattern.  Only a trial whose split misses a block, counted
+    in `equal_split_misses`, builds its set of ones for the exact sweep.
+    With k < ell^d there are fewer ones than blocks, so every trial avoids
+    and misses, and none is drawn.  Each trial is decided exactly, so
+    `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -202,25 +218,32 @@ def avoid_probability(
         raise RangeError(f"need k >= 1 and ell >= 1, got k={k}, ell={ell}")
     if d < 2:
         raise RangeError(f"need d >= 2, got {d}")
-    ks = (ell,) * d
-    dims = (k,) * d
+    if seed < 0:
+        raise RangeError(f"need seed >= 0, got {seed}")
+    blocks = ell**d
     # fewer ones than blocks: every trial avoids and misses, and none is drawn
-    drawn = trials if k >= ell**d else 0
+    drawn = trials if k >= blocks else 0
     avoid_count = misses = trials - drawn
+    if drawn:
+        # first, so that a side too large to shuffle is refused before
+        # anything of size k is built
+        highs = _swap_bounds(k, d)
+        part = [0] + [c * ell // k for c in range(k)]  # part[c] = (c-1)*ell//k
+        first_axis_parts = part[1:]
+        seed_words = _uint32_words(seed)
     for t in range(drawn):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        cols = _permutation_columns(k, d, rng)
+        entropy = np.array(seed_words + _uint32_words(t), dtype=np.uint32)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        cols = _permutation_columns(k, d, rng, highs)
         for axis, col in enumerate(cols, start=2):
             if len(set(col)) != k:
                 raise StructureError(f"axis {axis}: trial {t} drew no permutation")
-        # a set is read in hash order, which mixes the parts of every axis, so
-        # the split test stops after about ell^d * ln(ell^d) ones, not after
-        # most of the first axis as in index order
-        ones = set(zip(range(1, k + 1), *cols))
-        if _equal_split_hits(ones, ks, dims):
+        hit_blocks = set(zip(first_axis_parts, *(map(part.__getitem__, col) for col in cols)))
+        if len(hit_blocks) == blocks:
             continue
         misses += 1
-        avoid_count += not _allones_minor(ones, ks, dims)
+        ones = set(zip(range(1, k + 1), *cols))
+        avoid_count += not _allones_minor(ones, (ell,) * d, (k,) * d)
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)
     return EstimateReport(

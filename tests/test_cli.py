@@ -434,6 +434,22 @@ FROZEN_ESTIMATES = {
     (20, 2, 3, 200, 11): (0, "2e1e841e01fed926"),
     (20, 2, 3, 200, 2026): (0, "083c613554381b8f"),
 }
+# the `equal_split_misses` of each FROZEN_ESTIMATES point, which the digests
+# above leave out, recorded with the split read from a set of ones per trial
+FROZEN_SPLIT_MISSES = {
+    (34, 2, 2, 200, 11): 0,
+    (34, 2, 2, 200, 2026): 0,
+    (119, 3, 2, 40, 11): 0,
+    (119, 3, 2, 40, 2026): 0,
+    (178, 2, 3, 100, 11): 0,
+    (178, 2, 3, 100, 2026): 0,
+    (4, 2, 2, 200, 11): 57,
+    (4, 2, 2, 200, 2026): 59,
+    (8, 2, 3, 200, 11): 179,
+    (8, 2, 3, 200, 2026): 179,
+    (20, 2, 3, 200, 11): 41,
+    (20, 2, 3, 200, 2026): 43,
+}
 SWEEP_ARGV = ["prob", "estimate", "--sweep-k", "2,3,4,8,16", "--ell", "2", "--d", "2",
               "--trials", "100", "--seed", "5"]
 FROZEN_SWEEP_TEXT = """\
@@ -445,6 +461,7 @@ k,ell,d,trials,avoid_count,undecided,estimate,conf99,seed
 16,2,2,100,0,0,0.0,0.0,5
 """
 FROZEN_SWEEP_JSON = "af3708b3ff9a8ca3"
+FROZEN_SWEEP_MISSES = [100, 100, 34, 2, 0]  # per k, as FROZEN_SPLIT_MISSES
 
 
 def _estimate_argv(k, ell, d, trials, seed):
@@ -458,6 +475,7 @@ def test_frozen_estimates(point, capsys):
     assert code == 0
     got = (json.loads(out)["avoid_count"], _sha16(_estimate_bytes(out)))
     assert got == FROZEN_ESTIMATES[point]
+    assert json.loads(out)["equal_split_misses"] == FROZEN_SPLIT_MISSES[point]
 
 
 # `prob estimate --k 4 --ell 2 --d 2 --trials 200 --seed 11` text output,
@@ -484,6 +502,8 @@ def test_frozen_sweep(capsys):
     assert run(capsys, SWEEP_ARGV) == (0, FROZEN_SWEEP_TEXT)
     code, out = run(capsys, SWEEP_ARGV + ["--format", "json"])
     assert (code, _sha16(_estimate_bytes(out))) == (0, FROZEN_SWEEP_JSON)
+    misses = [rep["equal_split_misses"] for rep in json.loads(out)["reports"]]
+    assert misses == FROZEN_SWEEP_MISSES
 
 
 def test_threads_do_not_change_bytes(capsys):

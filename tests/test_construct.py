@@ -107,6 +107,8 @@ class TestRandomPermutation:
             random_permutation(0, 2, 1)
         with pytest.raises(RangeError):
             random_permutation(3, 1, 1)
+        with pytest.raises(RangeError):
+            random_permutation(3, 2, -1)
 
 
 class TestBlowupAvoider:

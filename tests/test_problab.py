@@ -1,5 +1,6 @@
 """Threshold formulas, the bound chain, Monte Carlo, and rational bounds."""
 
+import itertools
 import math
 import os
 import statistics
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import patternforge.probability as probability
-from patternforge.construct import _permutation_columns, random_permutation
+from patternforge.construct import _permutation_columns, _swap_bounds, random_permutation
 from patternforge.containment import _equal_split_hits, has_interval_minor
 from patternforge.errors import PreconditionError, RangeError, StructureError
 from patternforge.probability import (
@@ -176,6 +177,23 @@ class TestAvoidProbability:
             avoid_probability(0, 2, 2, trials=1, seed=1)
         with pytest.raises(RangeError):
             avoid_probability(3, 2, 1, trials=1, seed=1)
+        # a negative seed, with trials drawn and with none (k < ell^d)
+        with pytest.raises(RangeError):
+            avoid_probability(8, 2, 2, trials=2, seed=-1)
+        with pytest.raises(RangeError):
+            avoid_probability(3, 2, 2, trials=5, seed=-1)
+
+    def test_seed_words_are_numpy_entropy(self):
+        # a trial seeds from the words of (seed, t); numpy must derive the same
+        # state from them as from the list [seed, t]
+        seeds, ts = [0, 1, 2**32 - 1, 2**32, 2**64 - 1], [0, 1, 2**32 - 1, 2**32]
+        for seed, t in itertools.product(seeds, ts):
+            words = probability._uint32_words(seed) + probability._uint32_words(t)
+            got = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+            want = np.random.SeedSequence([seed, t])
+            assert np.array_equal(
+                got.generate_state(4, np.uint64), want.generate_state(4, np.uint64)
+            ), (seed, t)
 
     def test_report_invariants_enforced(self):
         with pytest.raises(StructureError):
@@ -216,17 +234,26 @@ class TestAvoidProbability:
     @example(k=5, ell=2, d=2, seed=4)
     @example(k=5, ell=2, d=2, seed=5)
     def test_trial_matches_matrix_path(self, k, ell, d, seed):
-        cols = _permutation_columns(k, d, np.random.default_rng(np.random.SeedSequence([seed, 0])))
-        A = random_permutation(k, d, np.random.SeedSequence([seed, 0])).matrix
-        assert sorted(zip(range(1, k + 1), *cols)) == sorted(A.ones)
-        blocks = {tuple((c - 1) * ell // k for c in one) for one in A.ones}
-        hits = len(blocks) == ell**d
-        assert _equal_split_hits(zip(range(1, k + 1), *cols), (ell,) * d, (k,) * d) == hits
-        contains = has_interval_minor(A, all_ones((ell,) * d))
-        rep = avoid_probability(k, ell, d, trials=1, seed=seed)
-        assert (rep.avoid_count, rep.equal_split_misses) == (int(not contains), int(not hits))
-        if math.comb(k + ell, 2 * ell) ** d <= 5000:  # interval systems the oracle tries
-            assert oracles.minor_oracle(A, all_ones((ell,) * d)) == contains
+        # five trials of one estimate: what the trials share is built once per
+        # estimate, so only trials t >= 1 would show it leaking between them
+        ks, dims = (ell,) * d, (k,) * d
+        avoids = misses = 0
+        for t in range(5):
+            ss = np.random.SeedSequence([seed, t])
+            cols = _permutation_columns(k, d, np.random.default_rng(ss), _swap_bounds(k, d))
+            A = random_permutation(k, d, ss).matrix
+            assert sorted(zip(range(1, k + 1), *cols)) == sorted(A.ones)
+            blocks = {tuple((c - 1) * ell // k for c in one) for one in A.ones}
+            hits = len(blocks) == ell**d
+            assert _equal_split_hits(A.ones, ks, dims) == hits
+            contains = has_interval_minor(A, all_ones(ks))
+            if t == 0 and math.comb(k + ell, 2 * ell) ** d <= 5000:
+                # interval systems the oracle tries
+                assert oracles.minor_oracle(A, all_ones(ks)) == contains
+            avoids += not contains
+            misses += not hits
+        rep = avoid_probability(k, ell, d, trials=5, seed=seed)
+        assert (rep.avoid_count, rep.equal_split_misses) == (avoids, misses)
 
 
 class TestRatioLowerBound:
