@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .containment import (
     GridWitness,
     extend_to_partition,
@@ -47,6 +45,8 @@ def _swap_bounds(k: int, d: int) -> np.ndarray:
     """Upper ends k-1 .. 1 of the swap partners of `_permutation_columns`,
     once for each of axes 2..d.  numpy refuses a size it cannot hold before
     it allocates anything, and that refusal is the range check on k."""
+    import numpy as np
+
     try:
         return np.tile(np.arange(k, 1, -1), d - 1)
     except (ValueError, MemoryError) as exc:
@@ -85,6 +85,8 @@ def random_permutation(
     be nonnegative."""
     if k < 1 or d < 2:
         raise RangeError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
+    import numpy as np
+
     if not isinstance(seed, np.random.SeedSequence):
         seed = int(seed)
         if seed < 0:

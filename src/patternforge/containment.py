@@ -29,8 +29,6 @@ import math
 import time
 from typing import Collection, Iterable, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, RangeError, StructureError
 from .tensor import Coord, TensorMatrix, _check_same_d
 
@@ -240,10 +238,12 @@ def _embedding(
     """`find_embedding` on the lex-sorted ones `host` of a matrix of extents
     `dims`.
 
-    With through_last, only embeddings using host[-1] are searched.
-    Strictly increasing axis maps keep lex order, so the lex-greatest host 1
-    can only be the image of the lex-greatest 1 of P; that pair is pinned
-    before the search runs over the rest.
+    Strictly increasing axis maps keep lex order, so the image of each 1 of
+    P comes after the image of the 1 before it: the search tries for it only
+    the host ones past that image.  With through_last, only embeddings using
+    host[-1] are searched: the lex-greatest host 1 can only be the image of
+    the lex-greatest 1 of P, and that pair is pinned before the search runs
+    over the rest.
     """
     if any(k > n for k, n in zip(P.dims, dims)):
         return None
@@ -294,24 +294,25 @@ def _embedding(
         host = host[:-1]
     chosen: list[Coord] = []
 
-    def rec(i: int) -> bool:
+    def rec(i: int, start: int) -> bool:
         if i == len(pat):
             return True
         pc = pat[i]
-        for hc in host:
+        for j in range(start, len(host)):
             budget.spend()
+            hc = host[j]
             if not compatible(pc, hc):
                 continue
             touched = assign(pc, hc)
             chosen.append(hc)
-            if rec(i + 1):
+            if rec(i + 1, j + 1):
                 return True
             chosen.pop()
             for ax in touched:
                 del maps[ax][pc[ax]]
         return False
 
-    if rec(0):
+    if rec(0, 0):
         return list(zip(pat, chosen)) + pinned
     return None
 
@@ -347,6 +348,8 @@ def _allones_minor(
     m = len(ones)
     if m < math.prod(ks):
         return False
+    import numpy as np
+
     ones = sorted(ones, key=lambda c: c[-1])
     X = np.array(ones, np.min_scalar_type(max(dims)))
     cuts = []  # per leading axis: rows of ks[ax] - 1 increasing cut values

@@ -11,6 +11,7 @@ JSONL and later runs resume from the cached best.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import itertools
 import json
@@ -302,6 +303,9 @@ def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     line = (json.dumps(rec.to_json(), sort_keys=True) + "\n").encode()
     with path.open("a+b") as fh:
+        # held until the handle closes, so that no other appender writes
+        # between this read and the truncate below
+        fcntl.flock(fh, fcntl.LOCK_EX)
         fh.seek(0)
         data = fh.read()
         keep = _intact_length(data)

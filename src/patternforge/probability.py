@@ -23,8 +23,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .construct import _permutation_columns, _swap_bounds
 from .containment import _allones_minor
 from .errors import PreconditionError, RangeError, StructureError
@@ -225,6 +223,8 @@ def avoid_probability(
     drawn = trials if k >= blocks else 0
     avoid_count = misses = trials - drawn
     if drawn:
+        import numpy as np
+
         # first, so that a side too large to shuffle is refused before
         # anything of size k is built
         highs = _swap_bounds(k, d)

@@ -84,6 +84,31 @@ def contains_oracle(A: TensorMatrix, P: TensorMatrix) -> bool:
     return False
 
 
+def first_embedding_oracle(A: TensorMatrix, P: TensorMatrix):
+    """First |P|-tuple of host ones, in `itertools.product` order over the
+    lex-sorted ones of A, that some strictly increasing index map per axis
+    carries the lex-sorted ones of P onto, as (pattern one, host one) pairs;
+    None when A avoids P.
+
+    Product order over a lex-sorted list is lex order of the tuples, so the
+    first valid tuple is the least image tuple over every per-axis map.
+    """
+    assert A.d == P.d
+    if any(k > n for k, n in zip(P.dims, A.dims)):
+        return None
+    pat = sorted(P.ones)
+    axis_maps = [
+        list(itertools.combinations(range(1, n + 1), k))
+        for k, n in zip(P.dims, A.dims)
+    ]
+    images = (
+        tuple(tuple(maps[ax][c[ax] - 1] for ax in range(A.d)) for c in pat)
+        for maps in itertools.product(*axis_maps)
+    )
+    first = min((img for img in images if all(map(A.has_one, img))), default=None)
+    return None if first is None else list(zip(pat, first))
+
+
 def interval_systems(n: int, k: int):
     """All ordered systems of k disjoint nonempty increasing intervals
     within 1..n, as tuples of (a, b) pairs."""

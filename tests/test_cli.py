@@ -822,3 +822,33 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
                 ESTIMATE[:-2] + ["--k", "8"]]
     for argv in sequence:
         assert run(capsys, argv) == fresh_run(argv)
+
+
+# -- numpy on first use --------------------------------------------------------
+
+
+def test_numpy_is_imported_only_by_commands_that_draw(files):
+    # a new interpreter, since the test modules import numpy themselves
+    code = """
+import contextlib, io, json, sys
+import patternforge, patternforge.cli
+loaded = {"import": "numpy" in sys.modules}
+pattern, cache, estimate = sys.argv[1:]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for step in ("miss", "hit"):
+        codes.append(patternforge.cli.main(
+            ["extremal", "f", "--n", "3", "--pattern", pattern, "--cache-dir", cache]))
+        loaded[step] = "numpy" in sys.modules
+    codes.append(patternforge.cli.main(json.loads(estimate)))
+loaded["estimate"] = "numpy" in sys.modules
+print(json.dumps([loaded, codes]))
+"""
+    proc = python(code, files["p"], str(files["dir"] / "cache"),
+                  json.dumps(ESTIMATE + ["--k", "6"]))
+    assert proc.returncode == 0, proc.stderr
+    loaded, codes = json.loads(proc.stdout)
+    assert loaded == {"import": False, "miss": False, "hit": False, "estimate": True}
+    assert codes == [0, 0, 0]
+    # one record: the first run searched and appended, the second hit it
+    assert (files["dir"] / "cache" / "records.jsonl").read_text().count("\n") == 1

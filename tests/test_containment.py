@@ -95,6 +95,11 @@ class TestContainsPattern:
         with pytest.raises(BudgetExceededError):
             find_embedding(A, P, node_budget=1)
 
+    def test_search_tries_only_host_ones_after_the_last_image(self):
+        # (1,1) -> (1,1) is node 1; (2,2) then skips (1,1) and is node 6
+        emb = find_embedding(all_ones((4, 4)), IDENTITY2, node_budget=6)
+        assert emb == [((1, 1), (1, 1)), ((2, 2), (2, 2))]
+
     @settings(max_examples=150, derandomize=True)
     @given(tensor_pairs())
     def test_matches_brute_force(self, pair):
@@ -104,6 +109,7 @@ class TestContainsPattern:
         else:
             expected = oracles.contains_oracle(A, P)
         assert contains_pattern(A, P) == expected
+        assert find_embedding(A, P) == oracles.first_embedding_oracle(A, P)
 
     @settings(max_examples=80, derandomize=True)
     @given(tensor_pairs(), st.data())

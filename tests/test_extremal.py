@@ -1,8 +1,10 @@
 """Branch-and-bound extremal search against the naive all-matrices oracle."""
 
+import fcntl
 import itertools
 import json
 import tempfile
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -385,6 +387,22 @@ class TestCache:
         path.write_bytes(path.read_bytes() + b'{"kind": "\xff"}\n')
         with pytest.raises(StructureError, match=r"records\.jsonl:2: "):
             load_records(tmp_path)
+
+    def test_append_waits_for_another_appender(self, tmp_path):
+        first = max_ones_avoiding(2, IDENTITY2)
+        second = max_ones_avoiding(3, IDENTITY2)
+        with records_path(tmp_path).open("a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            appender = threading.Thread(
+                target=append_record, args=(tmp_path, second), daemon=True
+            )
+            appender.start()
+            appender.join(0.2)
+            assert appender.is_alive()  # blocked on the lock, nothing read yet
+            fh.write((json.dumps(first.to_json(), sort_keys=True) + "\n").encode())
+        appender.join(10)
+        assert not appender.is_alive()
+        assert load_records(tmp_path) == [first, second]
 
     def test_append_and_load_inverse(self, tmp_path):
         rec = max_ones_avoiding(2, IDENTITY2)
