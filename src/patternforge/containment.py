@@ -4,29 +4,35 @@ Ordinary containment: A contains P when strictly increasing per-axis index
 maps carry every 1 of P onto a 1 of A.
 
 Interval-minor containment: B is an interval minor of A when contracting
-consecutive cross sections of A can produce a matrix containing B.  The
-decider here works with the equivalent grid-witness form: per-axis systems of
-disjoint increasing intervals such that every block selected by a 1 of B
-contains a 1 of A; all-ones targets are decided from the list of ones of A
-alone.  For them the paper's equal split of every axis is tried first: if
-every one of its blocks holds a 1 of A, it is itself a witness and the answer
-is True; only a split with an empty block falls back to the exact sweep over
-cut tuples.  Certificates are lex-least witnesses.  Widening an interval to
-the left, up to the end of the interval before it, keeps every required
-block non-empty and never raises the flattened endpoint tuple, so the
-lex-least witness has a_1 = 1 and a_{j+1} = b_j + 1 on every axis: the
-witness search places interval ends only.
+consecutive cross sections of A can produce a matrix containing B, that is
+when per-axis systems of disjoint increasing intervals (a grid witness)
+leave a 1 of A in every block that a 1 of B selects.  One cut sweep decides
+this for every B: fix the interval ends of the leading axes, give each 1 of
+A the bit of its block, and close the parts of the last axis greedily, each
+at the first coordinate where its hits cover what B's cross-section needs.
+An all-ones B first tries the paper's equal split of every axis, a witness
+when each of its blocks holds a 1, and on a large host goes to a numpy form
+of the sweep.  Certificates are lex-least witnesses, found by
+self-reduction: the leading axes' ends are fixed one at a time, each at the
+least value the sweep still completes, and the last axis's ends are the
+closes of the final sweep.
 
 Both deciders are exact and deterministic.  `find_embedding` and
 `contains_interval_minor` take an optional node budget that turns a runaway
-search into an explicit undecided error instead of a wrong answer.
+search into an explicit undecided error instead of a wrong answer.  A node
+is one host 1 tried by the embedding search, and one sweep for
+`contains_interval_minor`: on an n x ... x n host with o ones and a
+k x ... x k target, a sweep takes on the order of C(n-1, k-1)^(d-1) * (o + n)
+steps, and a witness at most 1 + (d-1) * n sweeps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
+from bisect import bisect_left
 from typing import Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, RangeError, StructureError
@@ -330,6 +336,9 @@ def contains_pattern(A: TensorMatrix, P: TensorMatrix) -> bool:
 
 # the all-ones decider builds block labels in chunks of at most this many bytes
 _LABEL_BYTES = 1 << 23
+# has_interval_minor hands an all-ones target to the numpy sweep above this
+# many leading cut tuples times ones of the host
+_SWEEP_WORK = 10_000
 
 
 def _allones_minor(
@@ -392,72 +401,75 @@ def _allones_minor(
     return False
 
 
-def _witness_search(
-    A: TensorMatrix, B: TensorMatrix, node_budget: int | None = None
-) -> GridWitness | None:
-    """Depth-first search for the flattened-lex-least grid witness.
+def _sweep(
+    ones: Collection[Coord], B: TensorMatrix, dims: tuple[int, ...],
+    fixed: Sequence[int] = (),
+) -> list[int] | None:
+    """Last-axis ends of a grid witness that B is an interval minor of the
+    matrix of extents `dims` with the distinct ones `ones`, or None.
 
-    Only interval ends are placed: every interval starts right after the one
-    before it (a_1 = 1, a_{j+1} = b_j + 1).  Stretching any valid witness
-    into that form keeps its blocks non-empty and never raises its flattened
-    tuple, so the lex-least witness has that form, and larger starts would
-    only revisit subtrees that already failed.  Ends are placed axis by axis
-    in flattened order, each ascending, so the first complete witness found
-    is the lexicographic minimum; one budget node is one interval end tried.
-    After each placement a relaxation is checked: every block a 1 of B
-    requires, widened to the loosest range still-unplaced intervals could
-    occupy, must contain a 1 of A.
+    Each interval starts right after the one before it, so ends name a
+    witness.  The leading axes take, in lex order, every tuple of ends that
+    extends `fixed`, a prefix of their ends in flattened order; an axis's
+    last end is n unless fixed, and a fixed one drops the ones beyond it.
+    Under a tuple each 1 hits the bit of its (d-1)-block, and part j of the
+    last axis needs the bits of B's cross-section j.  The sweep closes each
+    part at the first coordinate where the hits of the part so far cover
+    its need, so a part that needs nothing closes where it begins.  Hits
+    only grow with the interval, so these closes are the least last-axis
+    ends of any witness with the tuple's ends.  Returns the closes of the
+    first tuple that completes.
     """
-    _check_same_d(A, B)
-    ns = A.dims
     ks = B.dims
-    d = A.d
-    if any(k > n for k, n in zip(ks, ns)):
+    if any(k > n for k, n in zip(ks, dims)):
         return None
-    bones = B.ones_sorted()
-    budget = _Budget(node_budget)
-    ends: list[list[int]] = [[] for _ in range(d)]
+    strides = [math.prod(ks[ax + 1 : -1]) for ax in range(len(ks) - 1)]
+    cols = list(zip(*ones)) or [()] * len(dims)
 
-    def feasible() -> bool:
-        for bc in bones:
-            lo = []
-            hi = []
-            for ax in range(d):
-                j = bc[ax]
-                row = ends[ax]
-                if j <= len(row):
-                    a = (row[j - 2] if j > 1 else 0) + 1
-                    b = row[j - 1]
+    def chart(ax: int, ends: tuple[int, ...]) -> list[int]:
+        # 2**(block offset) of each 1 on axis ax, 0 beyond the last end; the
+        # bit of a 1 is the product over the leading axes
+        factor = [0]  # by coordinate
+        for j, (lo, hi) in enumerate(zip((0,) + ends, ends)):
+            factor += [1 << j * strides[ax]] * (hi - lo)
+        factor += [0] * (dims[ax] - ends[-1])
+        return list(map(factor.__getitem__, cols[ax]))
+
+    charts = []  # per leading axis; the first one's are made one at a time
+    for ax, k in enumerate(ks[:-1]):
+        got, fixed = tuple(fixed[:k]), fixed[k:]
+        free = range(got[-1] + 1 if got else 1, dims[ax])
+        rows = [got] if len(got) == k else [
+            got + mid + (dims[ax],) for mid in itertools.combinations(free, k - len(got) - 1)
+        ]
+        made = map(chart, itertools.repeat(ax), rows)
+        charts.append(list(made) if ax else made)
+    need = [0] * ks[-1]
+    for one in B.ones:
+        need[one[-1] - 1] |= 1 << sum(map(operator.mul, one, strides)) - sum(strides)
+    last = cols[-1]
+    for first in charts.pop(0) if charts else [[1] * len(last)]:
+        for rest in itertools.product(*charts):
+            bits = first
+            for more in rest:
+                bits = map(operator.mul, bits, more)
+            hits = [0] * (dims[-1] + 1)  # by last coordinate
+            for c, bit in zip(last, bits):
+                hits[c] |= bit
+            closes: list[int] = []
+            coords = iter(range(1, dims[-1] + 1))  # each part takes up where the last closed
+            for want in need:
+                hit = 0
+                for end in coords:
+                    hit |= hits[end]
+                    if hit & want == want:
+                        closes.append(end)
+                        break
                 else:
-                    a = (row[-1] if row else 0) + j - len(row)
-                    b = ns[ax] - ks[ax] + j
-                lo.append(a)
-                hi.append(b)
-            if not A.any_in_box(tuple(lo), tuple(hi)):
-                return False
-        return True
-
-    def place(ax: int, idx: int) -> GridWitness | None:
-        if ax == d:
-            return GridWitness(
-                [(a + 1, b) for a, b in zip([0] + row, row)] for row in ends
-            )
-        if idx == ks[ax]:
-            return place(ax + 1, 0)
-        row = ends[ax]
-        for b in range((row[-1] if row else 0) + 1, ns[ax] - ks[ax] + idx + 2):
-            budget.spend()
-            row.append(b)
-            if feasible():
-                got = place(ax, idx + 1)
-                if got is not None:
-                    return got
-            row.pop()
-        return None
-
-    if not feasible():
-        return None
-    return place(0, 0)
+                    break
+            else:
+                return closes
+    return None
 
 
 def _equal_split_hits(
@@ -485,17 +497,20 @@ def has_interval_minor(A: TensorMatrix, B: TensorMatrix) -> bool:
     """Interval-minor decision without certificate construction.
 
     All-ones targets first try the equal split of every axis, one pass over
-    the ones of A that answers True when it hits every block; otherwise the
-    sparse decider runs, whose work grows with the ones of A and the cut
-    tuples between them, not with the cells of A.  Other targets run the
-    witness search.
+    the ones of A that answers True when it hits every block.  Then the cut
+    sweep decides, for every target; on a host where the sweep's leading cut
+    tuples times the ones of A exceed `_SWEEP_WORK`, an all-ones target goes
+    to the numpy sweep instead, whose cut tuples lie between coordinates of
+    ones only.
     """
+    _check_same_d(A, B)
     if B.ones_count == B.cell_count:
-        _check_same_d(A, B)
-        return _equal_split_hits(A.ones, B.dims, A.dims) or _allones_minor(
-            A.ones, B.dims, A.dims
-        )
-    return _witness_search(A, B) is not None
+        if _equal_split_hits(A.ones, B.dims, A.dims):
+            return True
+        tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(B.dims[:-1], A.dims))
+        if tuples * A.ones_count > _SWEEP_WORK:
+            return _allones_minor(A.ones, B.dims, A.dims)
+    return _sweep(A.ones, B, A.dims) is not None
 
 
 def contains_interval_minor(
@@ -507,11 +522,37 @@ def contains_interval_minor(
     witnesses, comparing the interval endpoints read axis by axis (a1, b1,
     a2, b2, ... of axis 1, then axis 2, ...).  Stretching each interval left
     to the end of the one before keeps the witness valid and never raises
-    that tuple, so the least witness has a1 = 1 and a_{j+1} = b_j + 1 and the
-    search tries interval ends only; node_budget counts the ends tried.  An
-    all-ones B is first decided sparsely (equal split, then the sweep), so a
-    host without the minor returns None before any search.
+    that tuple, so the least witness has a1 = 1 and a_{j+1} = b_j + 1, and
+    its ends alone name it.  One cut sweep decides; then the leading axes'
+    ends are fixed one at a time, in flattened order, each at the least
+    value whose prefix the sweep still completes, and the last axis's ends
+    are the closes of the final sweep.  node_budget counts sweeps, the
+    deciding one included.  An all-ones B is first decided by
+    `has_interval_minor`, so a large host without the minor is turned away
+    before any counted sweep.
     """
+    _check_same_d(A, B)
     if B.ones_count == B.cell_count and not has_interval_minor(A, B):
         return None
-    return _witness_search(A, B, node_budget)
+    budget = _Budget(node_budget)
+
+    def sweep(fixed: list[int]) -> list[int] | None:
+        budget.spend()
+        return _sweep(A.ones, B, A.dims, fixed)
+
+    closes = sweep([])
+    if closes is None:
+        return None
+    fixed: list[int] = []
+    for k in B.dims[:-1]:
+        end = 0
+        for _ in range(k):
+            # a completion extends the prefix, so some end up to its own works
+            end += 1
+            while (got := sweep(fixed + [end])) is None:
+                end += 1
+            fixed.append(end)
+            closes = got
+    ends = iter(fixed + closes)
+    rows = [[next(ends) for _ in range(k)] for k in B.dims]
+    return GridWitness([(a + 1, b) for a, b in zip([0] + row, row)] for row in rows)

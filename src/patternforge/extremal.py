@@ -17,12 +17,11 @@ import itertools
 import json
 import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .containment import _Budget, _embedding, contains_pattern, has_interval_minor
+from .containment import _Budget, _embedding, _sweep, contains_pattern, has_interval_minor
 from .errors import (
     BudgetExceededError, PreconditionError, StructureError, TensorParseError, VerificationError
 )
@@ -148,48 +147,6 @@ class ExtremalRecord:
             )
         except (KeyError, TypeError, ValueError, TensorParseError) as exc:
             raise StructureError(f"malformed record: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# interval-minor checker consulted by the search
-# ---------------------------------------------------------------------------
-
-
-class _MinorChecker:
-    """Interval-minor check after adding a cell, as one partition scan.
-
-    B is an interval minor of the host iff some partition of every axis into
-    B's extent of consecutive parts leaves a 1 of the host in every block
-    that a 1 of B selects: witness intervals widen into a partition without
-    emptying a block, and every partition is itself a witness.  Each axis
-    gets one chart per partition, mapping a coordinate to the 1-based part
-    it falls in, so a product of charts maps each 1 of the host to a cell of
-    B; the scan tries every product until the images cover the ones of B.
-    An axis where B is longer than the host has no partition, so the scan
-    finds nothing.
-    """
-
-    def __init__(self, dims: tuple[int, ...], B: TensorMatrix):
-        self.need = frozenset(B.ones)
-        # per axis, per partition: chart[c-1] = the 1-based part of c
-        self.axis_charts = [
-            [
-                [bisect_left(mids + (n,), c) + 1 for c in range(1, n + 1)]
-                for mids in itertools.combinations(range(1, n), k - 1)
-            ]
-            for n, k in zip(dims, B.dims)
-        ]
-
-    def creates_containment(self, chosen: list[Coord], cell: Coord) -> bool:
-        ones = chosen + [cell]
-        placings = [
-            [[chart[c[ax] - 1] for c in ones] for chart in charts]
-            for ax, charts in enumerate(self.axis_charts)
-        ]
-        for combo in itertools.product(*placings):
-            if self.need.issubset(zip(*combo)):
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +342,8 @@ def _run(
         def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
             return _embedding(chosen + [cell], dims, P, through_last=True) is not None
     else:
-        creates_containment = _MinorChecker(dims, P).creates_containment
+        def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
+            return _sweep(chosen + [cell], P, dims) is not None
     start = time.perf_counter()
     value, ones, status = _branch_and_bound(dims, creates_containment, cfg, seed)
     elapsed = time.perf_counter() - start

@@ -97,7 +97,7 @@ def test_minor_budget_exhaustion_exits_3(capsys):
 
 
 def test_minor_budget_counts_interval_ends(tmp_path, files, capsys):
-    # 59 interval ends show that antidiagonal(6, 2) avoids the 2x2 identity
+    # one cut sweep shows that antidiagonal(6, 2) avoids the 2x2 identity
     host = tmp_path / "anti6.tsr"
     host.write_text(serialize_tensor(antidiagonal(6, 2)))
     code, _ = run(
@@ -833,22 +833,28 @@ def test_numpy_is_imported_only_by_commands_that_draw(files):
 import contextlib, io, json, sys
 import patternforge, patternforge.cli
 loaded = {"import": "numpy" in sys.modules}
-pattern, cache, estimate = sys.argv[1:]
+pattern, cache, mcache, estimate = sys.argv[1:]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for step in ("miss", "hit"):
-        codes.append(patternforge.cli.main(
-            ["extremal", "f", "--n", "3", "--pattern", pattern, "--cache-dir", cache]))
-        loaded[step] = "numpy" in sys.modules
+    for kind, target, where in (("f", pattern, cache), ("m", "allones:2,2", mcache)):
+        for step in ("miss", "hit"):
+            codes.append(patternforge.cli.main(
+                ["extremal", kind, "--n", "3", "--pattern", target, "--cache-dir", where]))
+            loaded[f"{kind} {step}"] = "numpy" in sys.modules
+    # the witness of an all-ones m record misses its equal split
+    codes.append(patternforge.cli.main(["records", "verify", "--cache-dir", mcache]))
+    loaded["m verify"] = "numpy" in sys.modules
     codes.append(patternforge.cli.main(json.loads(estimate)))
 loaded["estimate"] = "numpy" in sys.modules
 print(json.dumps([loaded, codes]))
 """
-    proc = python(code, files["p"], str(files["dir"] / "cache"),
+    proc = python(code, files["p"], str(files["dir"] / "cache"), str(files["dir"] / "mcache"),
                   json.dumps(ESTIMATE + ["--k", "6"]))
     assert proc.returncode == 0, proc.stderr
     loaded, codes = json.loads(proc.stdout)
-    assert loaded == {"import": False, "miss": False, "hit": False, "estimate": True}
-    assert codes == [0, 0, 0]
-    # one record: the first run searched and appended, the second hit it
-    assert (files["dir"] / "cache" / "records.jsonl").read_text().count("\n") == 1
+    assert loaded == {"import": False, "f miss": False, "f hit": False, "m miss": False,
+                      "m hit": False, "m verify": False, "estimate": True}
+    assert codes == [0] * 6
+    # one record each: the first run searched and appended, the second hit it
+    for cache in ("cache", "mcache"):
+        assert (files["dir"] / cache / "records.jsonl").read_text().count("\n") == 1

@@ -284,6 +284,10 @@ class TestContainsIntervalMinor:
 
     @settings(max_examples=100, derandomize=True)
     @given(tensor_pairs(host_max=4, pat_max=2, d_max=2))
+    # B's middle row and column are empty, so its middle parts need nothing
+    @example((TensorMatrix((4, 4), [(1, 1), (2, 3), (4, 4)]),
+              TensorMatrix((3, 3), [(1, 1), (3, 3)])))
+    @example((all_ones((2, 4)), TensorMatrix((3, 2), [(1, 1), (3, 2)])))  # k > n
     def test_matches_enumeration_oracle_2d(self, pair):
         A, B = pair
         W = contains_interval_minor(A, B)
@@ -295,6 +299,8 @@ class TestContainsIntervalMinor:
 
     @settings(max_examples=40, derandomize=True)
     @given(tensor_pairs(host_max=3, pat_max=2, d_max=3))
+    @example((TensorMatrix((3, 3, 3), [(1, 1, 1), (2, 3, 1), (3, 2, 3), (3, 3, 3)]),
+              TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)])))
     def test_matches_enumeration_oracle_3d(self, pair):
         A, B = pair
         W = contains_interval_minor(A, B)
@@ -385,6 +391,9 @@ FROZEN_WITNESSES = [
 ]
 
 
+J3_K12_WITNESS = (((1, 3), (4, 7), (8, 10)), ((1, 6), (7, 9), (10, 12)))
+
+
 class TestWitnessSearch:
     @pytest.mark.parametrize(
         "case", FROZEN_WITNESSES, ids=lambda c: "{}-k{}-d{}-t{}".format(*c[:4])
@@ -398,10 +407,19 @@ class TestWitnessSearch:
             assert verify_witness(A, WITNESS_TARGETS[target], W)
 
     def test_j3_in_random_permutation_within_1000_ends(self):
-        # one budget node is one interval end tried; 791 suffice here
+        # one budget node is one cut sweep; 11 suffice here
         A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
         W = contains_interval_minor(A, all_ones((3, 3)), node_budget=1000)
-        assert W.axes == (((1, 3), (4, 7), (8, 10)), ((1, 6), (7, 9), (10, 12)))
+        assert W.axes == J3_K12_WITNESS
+
+    def test_budget_counts_cut_sweeps(self):
+        # the deciding sweep, then 3 + 4 + 3 tries for the ends 3, 7, 10 of
+        # axis 1; the last try's closes are axis 2's ends
+        A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
+        W = contains_interval_minor(A, all_ones((3, 3)), node_budget=11)
+        assert W.axes == J3_K12_WITNESS
+        with pytest.raises(BudgetExceededError):
+            contains_interval_minor(A, all_ones((3, 3)), node_budget=10)
 
     def test_antidiagonal_avoids_identity_within_100_ends(self):
         A = antidiagonal(6, 2)
@@ -467,8 +485,9 @@ class TestAllOnesDecider:
         assert has_interval_minor(A, B) == expected
         assert (contains_interval_minor(A, B) is not None) == expected
         assert containment._allones_minor(A.ones, ks, A.dims) == expected
-        # with the sweep stubbed to False, True can come from the split only
-        with mock.patch.object(containment, "_allones_minor", return_value=False):
+        # with both sweeps stubbed to "no", True can come from the split only
+        with mock.patch.object(containment, "_allones_minor", return_value=False), \
+                mock.patch.object(containment, "_sweep", return_value=None):
             if has_interval_minor(A, B):
                 assert expected
 
@@ -498,12 +517,13 @@ class TestAllOnesDecider:
             assert permutation_answers(*point, sweep_only) == expected
 
     def test_equal_split_decides_every_paper_threshold(self, monkeypatch):
-        # the exact sweep needs minutes from (3, 3) on; the equal split of
+        # the exact sweeps need minutes from (3, 3) on; the equal split of
         # every axis into ell parts is a witness here without it
-        def no_sweep(ones, ks, dims):
-            raise AssertionError("the exact sweep ran")
+        def no_sweep(*args):
+            raise AssertionError("an exact sweep ran")
 
         monkeypatch.setattr(containment, "_allones_minor", no_sweep)
+        monkeypatch.setattr(containment, "_sweep", no_sweep)
         for ell, d in itertools.product((2, 3, 4), repeat=2):
             k = side_threshold(ell, d)
             for t in range(3):
