@@ -33,10 +33,10 @@ import math
 import operator
 import time
 from bisect import bisect_left
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, RangeError, StructureError
-from .tensor import Coord, TensorMatrix, _check_same_d
+from .tensor import Coord, TensorMatrix, _check_same_d, all_ones
 
 
 class GridWitness:
@@ -339,6 +339,8 @@ _LABEL_BYTES = 1 << 23
 # has_interval_minor hands an all-ones target to the numpy sweep above this
 # many leading cut tuples times ones of the host
 _SWEEP_WORK = 10_000
+# `_allones_decider` picks the pure sweep when its step bound is at most this
+_MISS_SWEEP_STEPS = 500
 
 
 def _allones_minor(
@@ -361,29 +363,45 @@ def _allones_minor(
 
     ones = sorted(ones, key=lambda c: c[-1])
     X = np.array(ones, np.min_scalar_type(max(dims)))
-    cuts = []  # per leading axis: rows of ks[ax] - 1 increasing cut values
+
+    def cut_rows(ax: int, count: int) -> np.ndarray:
+        # the next `count` rows of ks[ax] - 1 increasing cut values on axis ax
+        flat = itertools.chain.from_iterable(itertools.islice(combos[ax], count))
+        return np.fromiter(flat, X.dtype, count * (ks[ax] - 1)).reshape(count, ks[ax] - 1)
+
+    combos, counts = [], []  # per leading axis
     for ax, k in enumerate(ks[:-1]):
         # a cut after value v puts the ones with coordinate <= v before it
         vals = sorted({c[ax] for c in ones})[:-1]
-        rows = math.comb(len(vals), k - 1)
-        flat = itertools.chain.from_iterable(itertools.combinations(vals, k - 1))
-        cuts.append(np.fromiter(flat, X.dtype, rows * (k - 1)).reshape(rows, k - 1))
+        combos.append(itertools.combinations(vals, k - 1))
+        counts.append(math.comb(len(vals), k - 1))
     # index of the first one of every last coordinate
     starts = [i for i in range(m) if i == 0 or ones[i - 1][-1] != ones[i][-1]]
-    if len(starts) < ks[-1]:
+    if len(starts) < ks[-1] or 0 in counts:  # an axis has too few coordinates
         return False
+    if not counts:  # d = 1: one part per coordinate holding a one
+        return True
+    # the other axes' rows are made once, the first axis's as chunks reach them
+    rest = [cut_rows(ax, counts[ax]) for ax in range(1, len(counts))]
     full = (1 << math.prod(ks[:-1])) - 1
     word = np.min_scalar_type(full)  # object beyond 64 blocks
-    total = math.prod(map(len, cuts))
+    per_first = math.prod(counts[1:])  # cut tuples per row of the first axis
+    total = counts[0] * per_first
     chunk = max(1, _LABEL_BYTES // (m * word.itemsize))
+    window, lo = cut_rows(0, 0), 0  # the first-axis rows from row lo on
     for first in range(0, total, chunk):
         tuple_no = np.arange(first, min(total, first + chunk))
+        # keep the first-axis rows this chunk touches and make the new ones
+        start, stop = first // per_first, (first + len(tuple_no) - 1) // per_first + 1
+        window = np.concatenate((window[start - lo :], cut_rows(0, stop - lo - len(window))))
+        lo = start
         # label[i, t]: block of one i under cut tuple t, then its bit
         label = np.zeros((m, len(tuple_no)), dtype=word)
-        for ax in reversed(range(len(cuts))):
-            tuple_no, row = np.divmod(tuple_no, len(cuts[ax]))
+        for ax in reversed(range(len(counts))):
+            tuple_no, row = np.divmod(tuple_no, counts[ax])
+            rows = rest[ax - 1][row] if ax else window[row - lo]
             label *= word.type(ks[ax])
-            for cut in cuts[ax][row].T:
+            for cut in rows.T:
                 label += cut < X[:, ax, None]
         label = np.left_shift(word.type(1), label)
         if len(starts) < m:
@@ -399,6 +417,30 @@ def _allones_minor(
                     return True
                 hit[done] = 0
     return False
+
+
+def _allones_decider(
+    ks: tuple[int, ...], dims: tuple[int, ...], ones_count: int
+) -> Callable[[Collection[Coord]], bool]:
+    """`_allones_minor` for hosts of extents `dims` with `ones_count` ones,
+    or the pure cut sweep where that is faster: where the sweep's step bound,
+    the leading cut tuples times (ones + last extent), is at most
+    `_MISS_SWEEP_STEPS`.
+
+    Measured per permutation host whose equal split misses (2 cores, Python
+    3.11, numpy 2.4; random ones, but block-antidiagonal ones at even k from
+    14 up, where random ones rarely miss), pure against numpy sweep: 14-30
+    against 31-83 us for J2 in d = 2 at k = 4..18, bounds 24-612; 121-246
+    against 54-76 us for J3 in d = 2 at k = 9..16 and for J2 in d = 3 at
+    k = 8..16, bounds 504-7,200.  So the bound alone does not order these
+    points, and the constant is the largest that keeps every measured loss
+    on numpy.
+    """
+    tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(ks[:-1], dims))
+    if tuples * (ones_count + dims[-1]) > _MISS_SWEEP_STEPS:
+        return lambda ones: _allones_minor(ones, ks, dims)
+    B = all_ones(ks)
+    return lambda ones: _sweep(ones, B, dims) is not None
 
 
 def _sweep(
@@ -505,12 +547,22 @@ def has_interval_minor(A: TensorMatrix, B: TensorMatrix) -> bool:
     """
     _check_same_d(A, B)
     if B.ones_count == B.cell_count:
-        if _equal_split_hits(A.ones, B.dims, A.dims):
-            return True
-        tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(B.dims[:-1], A.dims))
-        if tuples * A.ones_count > _SWEEP_WORK:
-            return _allones_minor(A.ones, B.dims, A.dims)
+        decided = _allones_shortcut(A, B)
+        if decided is not None:
+            return decided
     return _sweep(A.ones, B, A.dims) is not None
+
+
+def _allones_shortcut(A: TensorMatrix, B: TensorMatrix) -> bool | None:
+    """The answer for an all-ones B when the equal split hits (True) or the
+    host is large enough for the numpy sweep, whose answer it is; None when
+    the pure cut sweep must decide."""
+    if _equal_split_hits(A.ones, B.dims, A.dims):
+        return True
+    tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(B.dims[:-1], A.dims))
+    if tuples * A.ones_count > _SWEEP_WORK:
+        return _allones_minor(A.ones, B.dims, A.dims)
+    return None
 
 
 def contains_interval_minor(
@@ -527,12 +579,13 @@ def contains_interval_minor(
     ends are fixed one at a time, in flattened order, each at the least
     value whose prefix the sweep still completes, and the last axis's ends
     are the closes of the final sweep.  node_budget counts sweeps, the
-    deciding one included.  An all-ones B is first decided by
-    `has_interval_minor`, so a large host without the minor is turned away
-    before any counted sweep.
+    deciding one included.  An all-ones B first tries the equal split and,
+    on a large host, the numpy sweep, so a large host without the minor is
+    turned away before any counted sweep; on a small host whose split
+    misses, the counted deciding sweep is the only one that decides.
     """
     _check_same_d(A, B)
-    if B.ones_count == B.cell_count and not has_interval_minor(A, B):
+    if B.ones_count == B.cell_count and _allones_shortcut(A, B) is False:
         return None
     budget = _Budget(node_budget)
 

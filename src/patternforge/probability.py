@@ -9,7 +9,8 @@ expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
 The bound rests on the paper's equal split: a permutation whose split into
 ell^d equal blocks hits every block contains the pattern.  A trial draws
-the permutation as columns, reads the block of each 1 off them in a table
+the permutation as columns from one generator per estimate, set to the
+trial's seeded start state, reads the block of each 1 off them in a table
 built once per estimate, and builds the ones for the exact decider only
 when the split misses a block; the misses are reported as
 `equal_split_misses`, the event the union bound bounds.
@@ -19,12 +20,14 @@ when the split misses a block; the misses are reported as
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .construct import _permutation_columns, _swap_bounds
-from .containment import _allones_minor
+from .containment import _allones_decider
 from .errors import PreconditionError, RangeError, StructureError
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
@@ -186,6 +189,106 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding multiplier (numpy/random/src/pcg64)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# trials whose start states one numpy pass computes; a power of two up to
+# 2**32, so that the words of t above the lowest stay fixed within a chunk
+_STATE_CHUNK = 1024
+
+
+def _trial_states(seed: int, start: int, stop: int) -> Iterator[dict]:
+    """The `state` of `PCG64(SeedSequence([seed, t]))` for t = start .. stop-1,
+    computed in one vectorised numpy pass per chunk of `_STATE_CHUNK` trials.
+
+    SeedSequence reads [seed, t] as the entropy words `_uint32_words(seed) +
+    _uint32_words(t)`, so a chunk's words differ in the lowest word of t only.
+    """
+    if start >= stop:  # no trial, and numpy stays unloaded
+        return
+    import numpy as np
+
+    seed_words = _uint32_words(seed)
+    lo = start
+    while lo < stop:
+        hi = min(stop, (lo // _STATE_CHUNK + 1) * _STATE_CHUNK)
+        entropy = np.array(seed_words + _uint32_words(lo), np.uint32)[:, None]
+        entropy = np.repeat(entropy, hi - lo, axis=1)
+        entropy[len(seed_words)] += np.arange(hi - lo, dtype=np.uint32)
+        yield from _pcg64_states(entropy)
+        lo = hi
+
+
+def _hash_keys(first: int, mult: int, count: int) -> list[int]:
+    """first, first * mult, first * mult**2, ... modulo 2**32."""
+    keys = [first]
+    for _ in range(count - 1):
+        keys.append(keys[-1] * mult & 0xFFFFFFFF)
+    return keys
+
+
+def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
+    """`PCG64(SeedSequence(words)).state` for the uint32 entropy words of
+    each column of `entropy`, one column per seed.
+
+    This is numpy's SeedSequence with its pool of four words, one row per
+    word and one column per seed.  Hash call c of a chain xors its value
+    with key c, multiplies it by key c + 1 and xors in its own top half.
+    Mixing fills the pool with one call on each of the first four entropy
+    words (zero past the last); then, for each pool word in turn, it makes
+    three calls on that word and mixes each result into one of the other
+    three; then, for each entropy word past the fourth, it makes four calls
+    on it and mixes each result into one pool word.  `generate_state(4,
+    np.uint64)` hashes the pool words twice round with a second chain into
+    eight 32-bit words and pairs them, low word first.  PCG64 reads the four
+    64-bit words as the high and low halves of two 128-bit integers,
+    initstate and initseq, and starts from inc = 2 * initseq + 1 and
+    state = (inc + initstate) * mult + inc, modulo 2**128.
+    """
+    import numpy as np
+
+    def hashed(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+        out = (values ^ xor) * mul
+        return out ^ out >> 16
+
+    def mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ out >> 16
+
+    n = len(entropy)
+    # the call numbers of each mixing step, one per pool word, in the order
+    # SeedSequence makes the calls; a pool word mixed into the others keeps
+    # its value, and 0 stands in for its call
+    numbers = itertools.count()
+    calls = [[next(numbers) for _ in range(4)]]
+    calls += [[0 if dst == src else next(numbers) for dst in range(4)] for src in range(4)]
+    calls += [[next(numbers) for _ in range(4)] for _ in range(n - 4)]
+    keys = np.array(_hash_keys(_INIT_A, _MULT_A, next(numbers) + 1), np.uint32)
+    calls = np.array(calls)[:, :, None]
+    xor, mul = keys[calls], keys[calls + 1]
+    pool = np.zeros((4, entropy.shape[1]), np.uint32)
+    pool[: min(n, 4)] = entropy[:4]
+    pool = hashed(pool, xor[0], mul[0])
+    for src in range(4):
+        out = mixed(pool, hashed(pool[src], xor[1 + src], mul[1 + src]))
+        out[src] = pool[src]
+        pool = out
+    for step, word in enumerate(entropy[4:], start=5):
+        pool = mixed(pool, hashed(word, xor[step], mul[step]))
+    keys = np.array(_hash_keys(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
+    out = hashed(np.concatenate((pool, pool)), keys[:-1], keys[1:]).astype(np.uint64)
+    words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    for a, b, c, e in zip(*words):
+        inc = ((c << 64 | e) << 1 | 1) & _MASK128
+        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
 def avoid_probability(
     k: int,
     ell: int,
@@ -202,13 +305,16 @@ def avoid_probability(
     permutation.  What depends only on (k, ell, d, seed) is built once per
     estimate: the swap bounds of the shuffles, the table of the part of
     the equal split each coordinate falls in (every axis has extent k and
-    ell parts), and the seed's 32-bit words.  A trial looks up the block of
-    each of its ones in that table; one whose split hits every block
-    contains the pattern.  Only a trial whose split misses a block, counted
-    in `equal_split_misses`, builds its set of ones for the exact sweep.
-    With k < ell^d there are fewer ones than blocks, so every trial avoids
-    and misses, and none is drawn.  Each trial is decided exactly, so
-    `undecided` is 0.
+    ell parts), and one PCG64 generator.  The generator's start state for
+    every trial comes from `_trial_states`, one numpy pass per chunk of
+    trials, and is set before the trial draws; `Generator.integers` makes
+    every bounded draw.  A trial looks up the block of each of its ones in
+    the table; one whose split hits every block contains the pattern.  Only
+    a trial whose split misses a block, counted in `equal_split_misses`,
+    builds its set of ones for the exact sweep that `_allones_decider`
+    picks.  With k < ell^d there are fewer ones than blocks, so every trial
+    avoids and misses, and none is drawn.  Each trial is decided exactly,
+    so `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -230,10 +336,11 @@ def avoid_probability(
         highs = _swap_bounds(k, d)
         part = [0] + [c * ell // k for c in range(k)]  # part[c] = (c-1)*ell//k
         first_axis_parts = part[1:]
-        seed_words = _uint32_words(seed)
-    for t in range(drawn):
-        entropy = np.array(seed_words + _uint32_words(t), dtype=np.uint32)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        decide = _allones_decider((ell,) * d, (k,) * d, k)
+        bits = np.random.PCG64(0)  # every trial sets its own state
+        rng = np.random.Generator(bits)
+    for t, state in enumerate(_trial_states(seed, 0, drawn)):
+        bits.state = state
         cols = _permutation_columns(k, d, rng, highs)
         for axis, col in enumerate(cols, start=2):
             if len(set(col)) != k:
@@ -243,7 +350,7 @@ def avoid_probability(
             continue
         misses += 1
         ones = set(zip(range(1, k + 1), *cols))
-        avoid_count += not _allones_minor(ones, (ell,) * d, (k,) * d)
+        avoid_count += not decide(ones)
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)
     return EstimateReport(

@@ -421,6 +421,26 @@ class TestWitnessSearch:
         with pytest.raises(BudgetExceededError):
             contains_interval_minor(A, all_ones((3, 3)), node_budget=10)
 
+    def test_small_host_decides_with_one_sweep(self):
+        # the split misses this host, which is small enough for the pure
+        # sweep: the counted deciding sweep is the only one with no prefix
+        A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
+        assert not containment._equal_split_hits(A.ones, (3, 3), A.dims)
+        with mock.patch.object(containment, "_sweep", wraps=containment._sweep) as spy:
+            W = contains_interval_minor(A, all_ones((3, 3)))
+        assert W.axes == J3_K12_WITNESS
+        prefixes = [call.args[3] if len(call.args) > 3 else () for call in spy.call_args_list]
+        assert len(prefixes) == 11
+        assert [len(p) for p in prefixes].count(0) == 1
+
+    def test_small_host_without_the_minor_spends_one_node(self):
+        # the split misses, and on a host this small the counted deciding
+        # sweep is the one that finds no witness
+        A = antidiagonal(6, 2)
+        assert contains_interval_minor(A, all_ones((2, 2)), node_budget=1) is None
+        with pytest.raises(BudgetExceededError):
+            contains_interval_minor(A, all_ones((2, 2)), node_budget=0)
+
     def test_antidiagonal_avoids_identity_within_100_ends(self):
         A = antidiagonal(6, 2)
         assert contains_interval_minor(A, IDENTITY2, node_budget=100) is None
@@ -516,6 +536,23 @@ class TestAllOnesDecider:
             assert permutation_answers(*point) == expected
             assert permutation_answers(*point, sweep_only) == expected
 
+    def test_labels_stay_within_bound_when_a_row_spans_chunks(self, monkeypatch):
+        # (10, 2, 3): a row of first-axis cuts takes 9 cut tuples of the
+        # second axis, and a chunk of 30 label bytes holds 3 of them
+        hosts = [random_permutation(10, 3, np.random.SeedSequence([1506, t])).matrix
+                 for t in range(20)]
+        monkeypatch.setattr(containment, "_LABEL_BYTES", 30)
+        made, real_zeros = [], np.zeros
+
+        def zeros(*args, **kwargs):
+            made.append(real_zeros(*args, **kwargs))
+            return made[-1]
+
+        with mock.patch.object(np, "zeros", zeros):
+            got = "".join(str(int(sweep_only(A, all_ones((2, 2, 2))))) for A in hosts)
+        assert got == FROZEN_PERMUTATION_ANSWERS[(10, 2, 3)]
+        assert made and max(a.nbytes for a in made) <= 30
+
     def test_equal_split_decides_every_paper_threshold(self, monkeypatch):
         # the exact sweeps need minutes from (3, 3) on; the equal split of
         # every axis into ell parts is a witness here without it
@@ -543,6 +580,12 @@ class TestAllOnesDecider:
         assert A.ones_count == 306
         assert has_interval_minor(A, all_ones((2, 2, 2)))
         assert containment._allones_minor(A.ones, (2, 2, 2), A.dims)
+
+    def test_one_axis(self):
+        # no leading axes: the last axis needs a part per 1 of the target
+        ones = [(2,), (5,), (9,)]
+        assert containment._allones_minor(ones, (3,), (9,))
+        assert not containment._allones_minor(ones, (4,), (9,))
 
     def test_more_than_64_blocks(self):
         # 81 blocks on the leading axes do not fit one machine word

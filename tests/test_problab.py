@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+import patternforge.containment as containment
 import patternforge.probability as probability
 from patternforge.construct import _permutation_columns, _swap_bounds, random_permutation
 from patternforge.containment import _equal_split_hits, has_interval_minor
@@ -160,15 +161,28 @@ class TestAvoidProbability:
         want = statistics.NormalDist().inv_cdf(0.995)
         assert abs(probability._Z99 - want) < 1e-12
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def fresh_output(code: str) -> str:
+        # a new interpreter, since the test modules import numpy themselves
         src = os.path.dirname(os.path.dirname(probability.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, patternforge; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, patternforge; print('scipy.stats' in sys.modules)"
+        assert self.fresh_output(code) == "False"
+
+    def test_estimate_without_draws_leaves_numpy_unloaded(self):
+        # k < ell^d: every trial avoids, and none is drawn or seeded
+        code = (
+            "import sys; from patternforge.probability import avoid_probability; "
+            "avoid_probability(3, 2, 2, trials=5, seed=1); print('numpy' in sys.modules)"
+        )
+        assert self.fresh_output(code) == "False"
 
     def test_validation(self):
         with pytest.raises(PreconditionError):
@@ -194,6 +208,56 @@ class TestAvoidProbability:
             assert np.array_equal(
                 got.generate_state(4, np.uint64), want.generate_state(4, np.uint64)
             ), (seed, t)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5, 2**128 + 3])
+    def test_trial_states_are_numpy_seeding(self, seed):
+        # with t, the last two seeds give 5 and 6 entropy words: SeedSequence
+        # mixes the words past its pool's fourth in a step of their own
+        chunk = probability._STATE_CHUNK
+        # a chunk begins at `chunk` and at 2**32, where t gains a second word
+        for start, stop in [(0, 3), (chunk - 2, chunk + 2), (2**32 - 2, 2**32 + 2)]:
+            got = list(probability._trial_states(seed, start, stop))
+            want = [
+                np.random.PCG64(np.random.SeedSequence([seed, t])).state
+                for t in range(start, stop)
+            ]
+            assert got == want, (seed, start)
+
+    def test_trial_columns_across_chunk_edges(self, monkeypatch):
+        # one generator serves every trial; a state set on it must leave
+        # nothing of the trial before, within a chunk or across an edge
+        monkeypatch.setattr(probability, "_STATE_CHUNK", 4)
+        k, d, seed = 9, 3, 2**40 + 7
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        for t, state in enumerate(probability._trial_states(seed, 0, 11)):
+            bits.state = state
+            cols = _permutation_columns(k, d, rng, _swap_bounds(k, d))
+            want = random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix
+            assert sorted(zip(range(1, k + 1), *cols)) == sorted(want.ones), t
+
+    def test_estimate_across_a_chunk_edge_matches_matrix_path(self):
+        k, ell, d, seed = 5, 2, 2, 31
+        trials = probability._STATE_CHUNK + 5
+        avoids = 0
+        for t in range(trials):
+            A = random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix
+            avoids += not has_interval_minor(A, all_ones((ell,) * d))
+        assert avoid_probability(k, ell, d, trials, seed).avoid_count == avoids
+
+    @pytest.mark.parametrize(
+        "point, stubbed", [((5, 2, 2), "_allones_minor"), ((9, 3, 2), "_sweep"), ((8, 2, 3), "_sweep")]
+    )
+    def test_miss_goes_to_the_faster_sweep(self, point, stubbed, monkeypatch):
+        # the pure sweep's step bound C(k-1, ell-1)^(d-1) * 2k is 40 at
+        # (5, 2, 2), 504 at (9, 3, 2) and 784 at (8, 2, 3)
+        def refuse(*args):
+            raise AssertionError(f"{stubbed} ran")
+
+        want = avoid_probability(*point, trials=40, seed=3)
+        assert want.equal_split_misses > 0
+        monkeypatch.setattr(containment, stubbed, refuse)
+        assert avoid_probability(*point, trials=40, seed=3) == want
 
     def test_report_invariants_enforced(self):
         with pytest.raises(StructureError):
