@@ -20,20 +20,24 @@ closes of the final sweep.
 Both deciders are exact and deterministic.  `find_embedding` and
 `contains_interval_minor` take an optional node budget that turns a runaway
 search into an explicit undecided error instead of a wrong answer.  A node
-is one host 1 tried by the embedding search, and one sweep for
-`contains_interval_minor`: on an n x ... x n host with o ones and a
-k x ... x k target, a sweep takes on the order of C(n-1, k-1)^(d-1) * (o + n)
-steps, and a witness at most 1 + (d-1) * n sweeps.
+is one host 1 tried by the embedding search inside its window: at each
+step the search tries only the host ones whose first coordinate lies in
+the range of coordinates that the next 1 of the pattern may map to, given
+the ones mapped before it.  For `contains_interval_minor` a node is one
+sweep: on an n x ... x n host with o ones and a k x ... x k target, a sweep
+takes on the order of C(n-1, k-1)^(d-1) * (o + n) steps, and a witness at
+most 1 + (d-1) * n sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 import time
 from bisect import bisect_left
-from typing import Callable, Collection, Iterable, Sequence
+from operator import le, mul, sub
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, RangeError, StructureError
 from .tensor import Coord, TensorMatrix, _check_same_d, all_ones
@@ -245,77 +249,81 @@ def _embedding(
     `dims`.
 
     Strictly increasing axis maps keep lex order, so the image of each 1 of
-    P comes after the image of the 1 before it: the search tries for it only
-    the host ones past that image.  With through_last, only embeddings using
-    host[-1] are searched: the lex-greatest host 1 can only be the image of
-    the lex-greatest 1 of P, and that pair is pinned before the search runs
-    over the rest.
+    P comes after the image of the 1 before it.  At each step the search
+    computes, per axis, the window of host coordinates the next 1 of P may
+    map to given the coordinates already mapped, and tries, in order, the
+    host ones past the previous image whose first coordinate lies in axis
+    1's window (a bisected slice of `host`), testing the other axes against
+    theirs.  With through_last, only embeddings using host[-1] are searched:
+    the lex-greatest host 1 can only be the image of the lex-greatest 1 of
+    P, and that pair is pinned before the search runs over the rest.
     """
-    if any(k > n for k, n in zip(P.dims, dims)):
+    if not all(map(le, P.dims, dims)):
         return None
     pat = P.ones_sorted()
     if not pat:
         return []
     if len(host) < len(pat):  # each pattern 1 needs its own host 1
         return None
-    budget = _Budget(node_budget)
-    d = len(dims)
-    kdims = P.dims
+    spend = _Budget(node_budget).spend
+    # per axis, how far a host coordinate may lie past its pattern coordinate
+    room = [n - k for n, k in zip(dims, P.dims)]
     # per-axis partial maps pattern coordinate -> host coordinate
-    maps: list[dict[int, int]] = [dict() for _ in range(d)]
-
-    def compatible(pc: Coord, hc: Coord) -> bool:
-        for ax in range(d):
-            p, v = pc[ax], hc[ax]
-            if not p <= v <= dims[ax] - (kdims[ax] - p):
-                return False
-            m = maps[ax]
-            got = m.get(p)
-            if got is not None:
-                if got != v:
-                    return False
-                continue
-            for q, w in m.items():
-                if q < p:
-                    if v - w < p - q:
-                        return False
-                elif w - v < q - p:
-                    return False
-        return True
-
-    def assign(pc: Coord, hc: Coord) -> list[int]:
-        touched = []
-        for ax in range(d):
-            if pc[ax] not in maps[ax]:
-                maps[ax][pc[ax]] = hc[ax]
-                touched.append(ax)
-        return touched
+    maps: list[dict[int, int]] = [{} for _ in dims]
+    end = len(host)
 
     pinned = []
     if through_last:
-        if not compatible(pat[-1], host[-1]):
+        # nothing is mapped yet, so only the ends bound the pair
+        pc, hc = pat.pop(), host[-1]
+        if not all(map(le, pc, hc)) or not all(map(le, map(sub, hc, pc), room)):
             return None
-        assign(pat[-1], host[-1])
-        pinned = [(pat.pop(), host[-1])]
-        host = host[:-1]
+        for m, p, v in zip(maps, pc, hc):
+            m[p] = v
+        pinned = [(pc, hc)]
+        end -= 1
     chosen: list[Coord] = []
 
     def rec(i: int, start: int) -> bool:
         if i == len(pat):
             return True
         pc = pat[i]
-        for j in range(start, len(host)):
-            budget.spend()
-            hc = host[j]
-            if not compatible(pc, hc):
+        # per axis, the least and greatest host coordinate for pc: its image
+        # if mapped, else p plus the least and greatest slack (image minus
+        # coordinate) that the mapped coordinates on either side leave
+        window = []  # (axis, least, greatest)
+        fresh = []  # (axis, map, coordinate) that pc maps first
+        for ax, (p, r, m) in enumerate(zip(pc, room, maps)):
+            got = m.get(p)
+            if got is not None:
+                window.append((ax, got, got))
                 continue
-            touched = assign(pc, hc)
-            chosen.append(hc)
-            if rec(i + 1, j + 1):
-                return True
-            chosen.pop()
-            for ax in touched:
-                del maps[ax][pc[ax]]
+            fresh.append((ax, m, p))
+            a, b = 0, r
+            for q, w in m.items():
+                if q < p:
+                    if w - q > a:
+                        a = w - q
+                elif w - q < b:
+                    b = w - q
+            window.append((ax, p + a, p + b))
+        _, lo, hi = window.pop(0)  # axis 1 bounds the slice, the rest each 1
+        stop = bisect_left(host, (hi + 1,), start, end)
+        for j in range(bisect_left(host, (lo,), start, stop), stop):
+            spend()
+            hc = host[j]
+            for ax, a, b in window:
+                if not a <= hc[ax] <= b:
+                    break
+            else:
+                for ax, m, p in fresh:
+                    m[p] = hc[ax]
+                chosen.append(hc)
+                if rec(i + 1, j + 1):
+                    return True
+                chosen.pop()
+                for ax, m, p in fresh:
+                    del m[p]
         return False
 
     if rec(0, 0):
@@ -388,6 +396,10 @@ def _allones_minor(
     per_first = math.prod(counts[1:])  # cut tuples per row of the first axis
     total = counts[0] * per_first
     chunk = max(1, _LABEL_BYTES // (m * word.itemsize))
+    # every chunk labels in these two buffers, the labels and the comparison
+    # of one cut, so no array of a finished chunk is alive beside them
+    labels = np.zeros((m, min(chunk, total)), dtype=word)
+    compared = np.empty(labels.shape, dtype=bool)
     window, lo = cut_rows(0, 0), 0  # the first-axis rows from row lo on
     for first in range(0, total, chunk):
         tuple_no = np.arange(first, min(total, first + chunk))
@@ -396,14 +408,15 @@ def _allones_minor(
         window = np.concatenate((window[start - lo :], cut_rows(0, stop - lo - len(window))))
         lo = start
         # label[i, t]: block of one i under cut tuple t, then its bit
-        label = np.zeros((m, len(tuple_no)), dtype=word)
+        label, below = labels[:, : len(tuple_no)], compared[:, : len(tuple_no)]
+        label.fill(0)
         for ax in reversed(range(len(counts))):
             tuple_no, row = np.divmod(tuple_no, counts[ax])
             rows = rest[ax - 1][row] if ax else window[row - lo]
             label *= word.type(ks[ax])
             for cut in rows.T:
-                label += cut < X[:, ax, None]
-        label = np.left_shift(word.type(1), label)
+                label += np.less(cut, X[:, ax, None], out=below)
+        np.left_shift(word.type(1), label, out=label)
         if len(starts) < m:
             label = np.bitwise_or.reduceat(label, starts, axis=0)
         hit = np.zeros_like(label[0])
@@ -443,6 +456,59 @@ def _allones_decider(
     return lambda ones: _sweep(ones, B, dims) is not None
 
 
+# a leading axis keeps the factor tables of its tuples of ends for later
+# sweeps of the same extents when its tuples times (extent + 1) are at most
+# this many; a larger one makes each table as the sweep reaches it
+_KEPT_FACTORS = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _strides(ks: tuple[int, ...]) -> tuple[int, ...]:
+    """Block offset of one step along each leading axis of a target of
+    extents `ks`, blocks being numbered in lex order."""
+    return tuple(math.prod(ks[ax + 1 : -1]) for ax in range(len(ks) - 1))
+
+
+def _factor_tables(
+    n: int, k: int, stride: int, got: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """The factor table of each tuple of k interval ends that extends `got`
+    on an axis of extent n, in lex order of the ends: by coordinate 0..n,
+    2**(j * stride) in interval j and 0 at 0 and beyond the last end, which
+    is n unless `got` fixes it."""
+    if len(got) == k:
+        rows: Iterable[tuple[int, ...]] = [got]
+    else:
+        free = range(got[-1] + 1 if got else 1, n)
+        rows = (got + mid + (n,) for mid in itertools.combinations(free, k - len(got) - 1))
+    for ends in rows:
+        factor = [0]
+        for j, (lo, hi) in enumerate(zip((0,) + ends, ends)):
+            factor += [1 << j * stride] * (hi - lo)
+        yield tuple(factor + [0] * (n - ends[-1]))
+
+
+@functools.lru_cache(maxsize=64)
+def _kept_factor_tables(
+    n: int, k: int, stride: int, got: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """`_factor_tables`, kept: branch and bound's m checker sweeps with the
+    extents of every node, and `records verify` with the few shapes of its
+    records."""
+    return tuple(_factor_tables(n, k, stride, got))
+
+
+@functools.lru_cache(maxsize=64)
+def _need_masks(B: TensorMatrix) -> tuple[int, ...]:
+    """Per part j of B's last axis, the bits of the (d-1)-blocks that B's
+    cross-section j has a 1 in."""
+    strides = _strides(B.dims)
+    need = [0] * B.dims[-1]
+    for one in B.ones:
+        need[one[-1] - 1] |= 1 << sum(map(mul, one, strides)) - sum(strides)
+    return tuple(need)
+
+
 def _sweep(
     ones: Collection[Coord], B: TensorMatrix, dims: tuple[int, ...],
     fixed: Sequence[int] = (),
@@ -460,41 +526,36 @@ def _sweep(
     its need, so a part that needs nothing closes where it begins.  Hits
     only grow with the interval, so these closes are the least last-axis
     ends of any witness with the tuple's ends.  Returns the closes of the
-    first tuple that completes.
+    first tuple that completes.  What depends only on the extents, the
+    strides and the factor tables of small axes, is cached, and so are B's
+    need masks; a call charts its ones and closes the parts.
     """
     ks = B.dims
     if any(k > n for k, n in zip(ks, dims)):
         return None
-    strides = [math.prod(ks[ax + 1 : -1]) for ax in range(len(ks) - 1)]
+    strides = _strides(ks)
     cols = list(zip(*ones)) or [()] * len(dims)
 
-    def chart(ax: int, ends: tuple[int, ...]) -> list[int]:
-        # 2**(block offset) of each 1 on axis ax, 0 beyond the last end; the
-        # bit of a 1 is the product over the leading axes
-        factor = [0]  # by coordinate
-        for j, (lo, hi) in enumerate(zip((0,) + ends, ends)):
-            factor += [1 << j * strides[ax]] * (hi - lo)
-        factor += [0] * (dims[ax] - ends[-1])
-        return list(map(factor.__getitem__, cols[ax]))
+    def chart(table: tuple[int, ...], col: tuple[int, ...]) -> list[int]:
+        # the factor of each 1 on one axis; its bit is the product over the
+        # leading axes
+        return list(map(table.__getitem__, col))
 
     charts = []  # per leading axis; the first one's are made one at a time
     for ax, k in enumerate(ks[:-1]):
         got, fixed = tuple(fixed[:k]), fixed[k:]
-        free = range(got[-1] + 1 if got else 1, dims[ax])
-        rows = [got] if len(got) == k else [
-            got + mid + (dims[ax],) for mid in itertools.combinations(free, k - len(got) - 1)
-        ]
-        made = map(chart, itertools.repeat(ax), rows)
+        n = dims[ax]
+        kept = math.comb(n - 1, k - 1) * (n + 1) <= _KEPT_FACTORS
+        tables = (_kept_factor_tables if kept else _factor_tables)(n, k, strides[ax], got)
+        made = map(chart, tables, itertools.repeat(cols[ax]))
         charts.append(list(made) if ax else made)
-    need = [0] * ks[-1]
-    for one in B.ones:
-        need[one[-1] - 1] |= 1 << sum(map(operator.mul, one, strides)) - sum(strides)
+    need = _need_masks(B)
     last = cols[-1]
     for first in charts.pop(0) if charts else [[1] * len(last)]:
         for rest in itertools.product(*charts):
             bits = first
             for more in rest:
-                bits = map(operator.mul, bits, more)
+                bits = map(mul, bits, more)
             hits = [0] * (dims[-1] + 1)  # by last coordinate
             for c, bit in zip(last, bits):
                 hits[c] |= bit

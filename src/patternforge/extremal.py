@@ -12,7 +12,6 @@ JSONL and later runs resume from the cached best.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import itertools
 import json
 import sys
@@ -34,11 +33,11 @@ from .tensor import (
 
 _ALGO = "bnb-lex-1"
 
-# "reflect" was an optional symmetry cut, since removed; the key stays so that
-# records cached under earlier versions keep matching
-_FINGERPRINT = hashlib.sha256(
-    json.dumps({"algo": _ALGO, "reflect": False}, sort_keys=True).encode()
-).hexdigest()[:16]
+# the first 16 hex digits of the sha256 of json.dumps({"algo": _ALGO,
+# "reflect": False}, sort_keys=True), written out so that no CLI process
+# loads hashlib for it; "reflect" was an optional symmetry cut, since
+# removed, and stays so that records cached under earlier versions match
+_FINGERPRINT = "b16ed3eec707f741"
 
 RECORDS_FILENAME = "records.jsonl"
 
@@ -128,17 +127,30 @@ class ExtremalRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtremalRecord":
+        return cls._from_json(data, {})
+
+    @classmethod
+    def _from_json(cls, data: dict, patterns: dict) -> "ExtremalRecord":
+        """`from_json`, taking the pattern tensor from `patterns` when an
+        earlier record of the same read stored an equal pattern, and adding
+        it there otherwise."""
         try:
             # int() would truncate floats and read booleans and digit strings
             if not {type(data[f]) for f in ("n", "d", "value")} <= {int}:
                 raise TypeError("n, d and value must be JSON integers")
             if not all(isinstance(data[f], dict) for f in ("pattern", "witness")):
                 raise TypeError("pattern and witness must be JSON objects")
+            key = _plain_key(data["pattern"])
+            pattern = patterns.get(key)
+            if pattern is None:
+                pattern = tensor_from_json(data["pattern"])
+                if key is not None:
+                    patterns[key] = pattern
             return cls(
                 kind=data["kind"],
                 n=data["n"],
                 d=data["d"],
-                pattern=tensor_from_json(data["pattern"]),
+                pattern=pattern,
                 value=data["value"],
                 witness=tensor_from_json(data["witness"]),
                 status=data["status"],
@@ -147,6 +159,17 @@ class ExtremalRecord:
             )
         except (KeyError, TypeError, ValueError, TensorParseError) as exc:
             raise StructureError(f"malformed record: {exc}") from None
+
+
+def _plain_key(raw: dict) -> tuple | None:
+    """(dims, ones) of a JSON tensor as tuples when every extent and
+    coordinate is a plain int, else None.  Only such a key is looked up:
+    1.0 and true equal 1 as dict keys but are not JSON integers."""
+    try:
+        key = (tuple(raw["dims"]), tuple(map(tuple, raw.get("ones", []))))
+    except (KeyError, TypeError):
+        return None
+    return key if set(map(type, itertools.chain(key[0], *key[1]))) <= {int} else None
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +266,27 @@ def _parsed_lines(
         yield lineno, obj
 
 
-def _record_at(cache_dir: str | Path, lineno: int, data: dict) -> ExtremalRecord:
+def _record_at(
+    cache_dir: str | Path, lineno: int, data: dict, patterns: dict | None = None
+) -> ExtremalRecord:
+    """The record on line `lineno`; with `patterns`, it shares its pattern
+    tensor with the records read before it."""
     try:
-        return ExtremalRecord.from_json(data)
+        if patterns is None:
+            return ExtremalRecord.from_json(data)
+        return ExtremalRecord._from_json(data, patterns)
     except StructureError as exc:
         raise StructureError(f"{records_path(cache_dir)}:{lineno}: {exc}") from None
 
 
 def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
-    """Every record in the cache; a torn tail is skipped, not an error."""
-    return [_record_at(cache_dir, lineno, data) for lineno, data in _parsed_lines(cache_dir)]
+    """Every record in the cache; a torn tail is skipped, not an error.
+    Records that store equal patterns share one pattern tensor."""
+    patterns: dict = {}
+    return [
+        _record_at(cache_dir, lineno, data, patterns)
+        for lineno, data in _parsed_lines(cache_dir)
+    ]
 
 
 def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:

@@ -20,6 +20,7 @@ when the split misses a block; the misses are reported as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -231,6 +232,29 @@ def _hash_keys(first: int, mult: int, count: int) -> list[int]:
     return keys
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hash keys `_pcg64_states` uses for n entropy words, read-only:
+    per mixing step and pool word, the key its call xors with and the key
+    it multiplies by, and the keys of `generate_state`'s chain."""
+    import numpy as np
+
+    # the call numbers of each mixing step, one per pool word, in the order
+    # SeedSequence makes the calls; a pool word mixed into the others keeps
+    # its value, and 0 stands in for its call
+    numbers = itertools.count()
+    calls = [[next(numbers) for _ in range(4)]]
+    calls += [[0 if dst == src else next(numbers) for dst in range(4)] for src in range(4)]
+    calls += [[next(numbers) for _ in range(4)] for _ in range(n - 4)]
+    keys = np.array(_hash_keys(_INIT_A, _MULT_A, next(numbers) + 1), np.uint32)
+    calls = np.array(calls)[:, :, None]
+    chain = np.array(_hash_keys(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
+    tables = keys[calls], keys[calls + 1], chain
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
     """`PCG64(SeedSequence(words)).state` for the uint32 entropy words of
     each column of `entropy`, one column per seed.
@@ -260,16 +284,7 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
         return out ^ out >> 16
 
     n = len(entropy)
-    # the call numbers of each mixing step, one per pool word, in the order
-    # SeedSequence makes the calls; a pool word mixed into the others keeps
-    # its value, and 0 stands in for its call
-    numbers = itertools.count()
-    calls = [[next(numbers) for _ in range(4)]]
-    calls += [[0 if dst == src else next(numbers) for dst in range(4)] for src in range(4)]
-    calls += [[next(numbers) for _ in range(4)] for _ in range(n - 4)]
-    keys = np.array(_hash_keys(_INIT_A, _MULT_A, next(numbers) + 1), np.uint32)
-    calls = np.array(calls)[:, :, None]
-    xor, mul = keys[calls], keys[calls + 1]
+    xor, mul, keys = _hash_tables(n)
     pool = np.zeros((4, entropy.shape[1]), np.uint32)
     pool[: min(n, 4)] = entropy[:4]
     pool = hashed(pool, xor[0], mul[0])
@@ -279,7 +294,6 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
         pool = out
     for step, word in enumerate(entropy[4:], start=5):
         pool = mixed(pool, hashed(word, xor[step], mul[step]))
-    keys = np.array(_hash_keys(_INIT_B, _MULT_B, 9), np.uint32)[:, None]
     out = hashed(np.concatenate((pool, pool)), keys[:-1], keys[1:]).astype(np.uint64)
     words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
     for a, b, c, e in zip(*words):

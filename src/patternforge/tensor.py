@@ -41,7 +41,11 @@ class TensorMatrix:
             raise StructureError("a tensor needs at least one axis")
         if any(n < 1 for n in dims):
             raise StructureError(f"extents must be positive, got {dims}")
-        coords = [tuple(map(int, c)) for c in ones]
+        coords = list(map(tuple, ones))
+        # int() turns bools and numpy integers into plain ints, and truncates
+        # floats; components that are plain ints already skip it
+        if not set(map(type, itertools.chain.from_iterable(coords))) <= {int}:
+            coords = [tuple(map(int, c)) for c in coords]
         unique = frozenset(coords)
         # whole-list passes; the per-coordinate walk runs only to name a fault
         if coords and (

@@ -84,11 +84,12 @@ def contains_oracle(A: TensorMatrix, P: TensorMatrix) -> bool:
     return False
 
 
-def first_embedding_oracle(A: TensorMatrix, P: TensorMatrix):
+def first_embedding_oracle(A: TensorMatrix, P: TensorMatrix, through_last: bool = False):
     """First |P|-tuple of host ones, in `itertools.product` order over the
     lex-sorted ones of A, that some strictly increasing index map per axis
     carries the lex-sorted ones of P onto, as (pattern one, host one) pairs;
-    None when A avoids P.
+    None when A avoids P.  With through_last, only tuples that use the
+    lex-greatest 1 of A count.
 
     Product order over a lex-sorted list is lex order of the tuples, so the
     first valid tuple is the least image tuple over every per-axis map.
@@ -105,6 +106,9 @@ def first_embedding_oracle(A: TensorMatrix, P: TensorMatrix):
         tuple(tuple(maps[ax][c[ax] - 1] for ax in range(A.d)) for c in pat)
         for maps in itertools.product(*axis_maps)
     )
+    if through_last and pat:
+        last = max(A.ones, default=None)
+        images = (img for img in images if last in img)
     first = min((img for img in images if all(map(A.has_one, img))), default=None)
     return None if first is None else list(zip(pat, first))
 

@@ -324,6 +324,22 @@ def test_malformed_record_for_another_key_is_reported_by_records_only(
         assert "records.jsonl:1: malformed record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("one", [1.0, True])
+def test_repeated_pattern_with_a_non_integer_one_exits_2(files, tmp_path, capsys, one):
+    # records that store equal patterns share one tensor, but 1.0 and true
+    # are not JSON integers even where they equal 1 as dict keys
+    cache = tmp_path / "cache"
+    argv = ["extremal", "f", "--n", "2", "--pattern", files["p"], "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    path = cache / "records.jsonl"
+    data = json.loads(path.read_text())
+    data["pattern"]["ones"][0][0] = one
+    path.write_text(path.read_text() + json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert main(["records", "verify", "--cache-dir", str(cache)]) == 2
+    assert "records.jsonl:2: malformed record" in capsys.readouterr().err
+
+
 def test_records_cache_from_environment(files, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],

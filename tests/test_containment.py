@@ -1,6 +1,7 @@
 """Both containment deciders against literal-definition oracles."""
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -96,9 +97,12 @@ class TestContainsPattern:
             find_embedding(A, P, node_budget=1)
 
     def test_search_tries_only_host_ones_after_the_last_image(self):
-        # (1,1) -> (1,1) is node 1; (2,2) then skips (1,1) and is node 6
-        emb = find_embedding(all_ones((4, 4)), IDENTITY2, node_budget=6)
+        # (1,1) -> (1,1) is node 1; the window of (2,2) starts at row 2, so
+        # the search skips row 1 and tries (2,1) and (2,2) as nodes 2 and 3
+        emb = find_embedding(all_ones((4, 4)), IDENTITY2, node_budget=3)
         assert emb == [((1, 1), (1, 1)), ((2, 2), (2, 2))]
+        with pytest.raises(BudgetExceededError):
+            find_embedding(all_ones((4, 4)), IDENTITY2, node_budget=2)
 
     @settings(max_examples=150, derandomize=True)
     @given(tensor_pairs())
@@ -168,6 +172,36 @@ class TestEmbeddingThroughLast:
             assert [pc for pc, _ in emb] == P.ones_sorted()
             assert host[-1] in [hc for _, hc in emb]
             assert find_embedding(TensorMatrix(dims, host), P) is not None
+
+
+# hosts whose search meets a window that holds no host 1 (every image of
+# (2, 2) needs row 2 or later), and one whose axis-1 slice for (2, 2)
+# skips the host ones of row 1 that follow the image of (1, 1)
+EMPTY_WINDOW = TensorMatrix((3, 3), [(1, 1), (1, 2), (1, 3)])
+SKIPPING_SLICE = TensorMatrix((3, 3), [(1, 1), (1, 2), (1, 3), (3, 3)])
+
+
+class TestWindowedEmbedding:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tensor_pairs(host_max=5, pat_max=3), st.booleans())
+    @example(pair=(EMPTY_WINDOW, IDENTITY2), through_last=False)
+    @example(pair=(EMPTY_WINDOW, IDENTITY2), through_last=True)
+    @example(pair=(SKIPPING_SLICE, IDENTITY2), through_last=False)
+    @example(pair=(SKIPPING_SLICE, IDENTITY2), through_last=True)
+    def test_first_embedding_matches_oracle(self, pair, through_last):
+        A, P = pair
+        got = containment._embedding(A.ones_sorted(), A.dims, P, through_last=through_last)
+        assert got == oracles.first_embedding_oracle(A, P, through_last)
+
+    def test_a_node_is_a_host_one_tried_inside_its_window(self):
+        assert find_embedding(EMPTY_WINDOW, IDENTITY2, node_budget=3) is None
+        with pytest.raises(BudgetExceededError):
+            find_embedding(EMPTY_WINDOW, IDENTITY2, node_budget=2)
+        # (1,1) -> (1,1), then (3,3) is the one host 1 in the window of (2,2)
+        emb = find_embedding(SKIPPING_SLICE, IDENTITY2, node_budget=2)
+        assert emb == [((1, 1), (1, 1)), ((2, 2), (3, 3))]
+        with pytest.raises(BudgetExceededError):
+            find_embedding(SKIPPING_SLICE, IDENTITY2, node_budget=1)
 
 
 # -- grid witnesses -------------------------------------------------------------
@@ -542,16 +576,34 @@ class TestAllOnesDecider:
         hosts = [random_permutation(10, 3, np.random.SeedSequence([1506, t])).matrix
                  for t in range(20)]
         monkeypatch.setattr(containment, "_LABEL_BYTES", 30)
-        made, real_zeros = [], np.zeros
+        made = []
 
-        def zeros(*args, **kwargs):
-            made.append(real_zeros(*args, **kwargs))
-            return made[-1]
+        def spy(make):
+            def making(*args, **kwargs):
+                made.append(make(*args, **kwargs))
+                return made[-1]
+            return making
 
-        with mock.patch.object(np, "zeros", zeros):
+        with mock.patch.object(np, "zeros", spy(np.zeros)), \
+                mock.patch.object(np, "empty", spy(np.empty)):
             got = "".join(str(int(sweep_only(A, all_ones((2, 2, 2))))) for A in hosts)
         assert got == FROZEN_PERMUTATION_ANSWERS[(10, 2, 3)]
         assert made and max(a.nbytes for a in made) <= 30
+
+    def test_a_chunk_holds_two_label_sized_arrays(self, monkeypatch):
+        # tracemalloc sees every array, the ones numpy's operators return
+        # included: the labels and one comparison buffer serve every chunk
+        monkeypatch.setattr(containment, "_LABEL_BYTES", 1 << 20)
+        A = random_permutation(300, 2, np.random.SeedSequence([1506, 0])).matrix
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert containment._allones_minor(A.ones, (4, 4), A.dims)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (1 << 20)
 
     def test_equal_split_decides_every_paper_threshold(self, monkeypatch):
         # the exact sweeps need minutes from (3, 3) on; the equal split of

@@ -1,15 +1,19 @@
 """Branch-and-bound extremal search against the naive all-matrices oracle."""
 
 import fcntl
+import hashlib
 import itertools
 import json
 import tempfile
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from patternforge import containment
+from patternforge.cli import main
 from patternforge.extremal import (
     ExtremalRecord,
     RatioPoint,
@@ -218,6 +222,11 @@ class TestBudgets:
         # records cached by earlier versions are keyed by this digest
         assert SearchConfig().fingerprint() == "b16ed3eec707f741"
 
+    def test_fingerprint_is_the_digest_of_its_settings(self):
+        settings = json.dumps({"algo": "bnb-lex-1", "reflect": False}, sort_keys=True)
+        digest = hashlib.sha256(settings.encode()).hexdigest()[:16]
+        assert SearchConfig().fingerprint() == digest
+
 
 FP = SearchConfig().fingerprint()
 
@@ -378,6 +387,27 @@ class TestCache:
         with pytest.raises(StructureError, match=r"records\.jsonl:2: malformed record"):
             load_records(tmp_path)
 
+    @pytest.mark.parametrize("one", [1.0, True])
+    def test_repeated_pattern_with_a_non_integer_one_names_its_line(self, tmp_path, one):
+        rec = max_ones_avoiding(2, IDENTITY2)
+        append_record(tmp_path, rec)
+        data = rec.to_json()
+        data["pattern"]["ones"][0][0] = one
+        path = records_path(tmp_path)
+        path.write_text(path.read_text() + json.dumps(data) + "\n")
+        with pytest.raises(StructureError, match=r"records\.jsonl:2: malformed record"):
+            load_records(tmp_path)
+
+    def test_records_with_equal_patterns_share_one_tensor(self, tmp_path):
+        f = max_ones_avoiding(3, IDENTITY2)
+        m = max_ones_avoiding_minor(3, IDENTITY2)
+        for rec in (f, m, max_ones_avoiding(3, ANTI2)):
+            append_record(tmp_path, rec)
+        first, second, third = load_records(tmp_path)
+        assert (first, second) == (f, m)
+        assert first.pattern is second.pattern
+        assert third.pattern == ANTI2
+
     def test_non_utf8_line_names_its_line(self, tmp_path):
         append_record(tmp_path, max_ones_avoiding(2, IDENTITY2))
         path = records_path(tmp_path)
@@ -521,3 +551,38 @@ def test_frozen_witnesses(kind, n, P, ones):
     assert rec.status == "exact"
     assert rec.value == len(ones)
     assert sorted(rec.witness.ones) == ones
+
+
+def test_records_verify_spends_pinned_nodes(tmp_path, capsys, monkeypatch):
+    # the f witnesses' embedding searches try 349 host ones inside their
+    # windows; trying every host 1 past the last image took 586
+    for kind, n, P, ones in FROZEN_WITNESSES:
+        append_record(tmp_path, ExtremalRecord(
+            kind=kind, n=n, d=P.d, pattern=P, value=len(ones),
+            witness=TensorMatrix((n,) * P.d, ones), status="exact", elapsed=0.0,
+            fingerprint=FP,
+        ))
+    nodes = 0
+    spend = containment._Budget.spend
+
+    def counting(self):
+        nonlocal nodes
+        nodes += 1
+        spend(self)
+
+    monkeypatch.setattr(containment._Budget, "spend", counting)
+    assert main(["records", "verify", "--cache-dir", str(tmp_path)]) == 0
+    assert "all records verified" in capsys.readouterr().out
+    assert nodes == 349
+
+
+def test_m_search_builds_each_factor_table_once():
+    containment._kept_factor_tables.cache_clear()
+    with mock.patch.object(
+        containment, "_factor_tables", wraps=containment._factor_tables
+    ) as spy:
+        rec = max_ones_avoiding_minor(3, TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)]))
+    assert rec.value == 19
+    # one call per leading axis (n, k, stride, fixed ends), each making the
+    # tables of both tuples of ends
+    assert sorted(call.args for call in spy.call_args_list) == [(3, 2, 1, ()), (3, 2, 2, ())]

@@ -152,6 +152,9 @@ FORMS = {
     "tuple": tuple,
     "list": list,
     "numpy": lambda c: np.array(c, dtype=np.int64),
+    # components that int() converts: bools for 0 and 1, floats
+    "bool": lambda c: [bool(x) if x in (0, 1) else x for x in c],
+    "float": lambda c: [float(x) for x in c],
 }
 CONTAINERS = {
     "list": lambda ones: lambda: list(ones),
@@ -208,6 +211,15 @@ class TestConstructorChecks:
     int() rejects is raised before any fault at an earlier coordinate, since
     the constructor converts every coordinate before it checks any.
     """
+
+    def test_components_that_are_not_plain_ints_go_through_int(self):
+        A = TensorMatrix((3, 3), [(True, 2.9), (np.int64(3), np.int8(1)), (2, 3)])
+        assert A.ones == {(1, 2), (3, 1), (2, 3)}
+        assert all(type(c) is int for coord in A.ones for c in coord)
+        with pytest.raises(StructureError, match=r"duplicate coordinate \(1, 1\)"):
+            TensorMatrix((2, 2), [(1, 1), (True, 1.0)])
+        with pytest.raises(RangeError, match=r"coordinate \(0, 1\) outside"):
+            TensorMatrix((2, 2), [(False, 1)])
 
     @settings(max_examples=400, derandomize=True)
     @given(checked_inputs())
