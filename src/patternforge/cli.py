@@ -30,6 +30,7 @@ from .containment import GridWitness, contains_interval_minor, find_embedding
 from .errors import (
     BudgetExceededError,
     PatternforgeError,
+    PreconditionError,
     StructureError,
     TensorParseError,
     VerificationError,
@@ -123,9 +124,13 @@ def _tensor_lines(A: TensorMatrix) -> list[str]:
 
 
 def _cache_dir(args) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get("PATTERNFORGE_CACHE") or None
+    """The cache directory that --cache-dir or PATTERNFORGE_CACHE names, None
+    for neither; PreconditionError when it names something that exists and
+    is not a directory, which no read could find records in nor append to."""
+    cache = getattr(args, "cache_dir", None) or os.environ.get("PATTERNFORGE_CACHE") or None
+    if cache is not None and os.path.exists(cache) and not os.path.isdir(cache):
+        raise PreconditionError(f"cache directory {cache} is not a directory")
+    return cache
 
 
 def _search_config(args) -> SearchConfig:
@@ -233,9 +238,10 @@ def _record_lines(rec) -> list[str]:
 
 
 def _cmd_extremal(args) -> int:
+    cfg = _search_config(args)
     P = _load_tensor(args.pattern)
     run = max_ones_avoiding if args.kind == "f" else max_ones_avoiding_minor
-    rec = run(args.n, P, _search_config(args))
+    rec = run(args.n, P, cfg)
     _emit(args, rec.to_json(), _record_lines(rec))
     return EXIT_OK if rec.status == "exact" else EXIT_UNDECIDED
 
@@ -245,9 +251,10 @@ def _cmd_ratio_seq(args) -> int:
         print(f"error: empty range of n: --n-from {args.n_from} > --n-to {args.n_to}",
               file=sys.stderr)
         return EXIT_USAGE
+    cfg = _search_config(args)
     P = _load_tensor(args.pattern)
     n_range = range(args.n_from, args.n_to + 1)
-    pts = ratio_sequence(P, n_range, _search_config(args), kind=args.kind)
+    pts = ratio_sequence(P, n_range, cfg, kind=args.kind)
     payload = {
         "kind": args.kind,
         "points": [

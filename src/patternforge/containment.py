@@ -23,10 +23,14 @@ search into an explicit undecided error instead of a wrong answer.  A node
 is one host 1 tried by the embedding search inside its window: at each
 step the search tries only the host ones whose first coordinate lies in
 the range of coordinates that the next 1 of the pattern may map to, given
-the ones mapped before it.  For `contains_interval_minor` a node is one
-sweep: on an n x ... x n host with o ones and a k x ... x k target, a sweep
-takes on the order of C(n-1, k-1)^(d-1) * (o + n) steps, and a witness at
-most 1 + (d-1) * n sweeps.
+the ones mapped before it.  Which 1s are mapped before it depends on the
+pattern alone, so a plan made once per pattern and host extents names,
+per axis, the mapped 1 that shares its coordinate or else the mapped
+coordinates nearest below and above, whose images bound the window as
+tightly as all the mapped ones do.  For `contains_interval_minor` a node
+is one sweep: on an n x ... x n host with o ones and a k x ... x k target,
+a sweep takes on the order of C(n-1, k-1)^(d-1) * (o + n) steps, and a
+witness at most 1 + (d-1) * n sweeps.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import itertools
 import math
 import time
 from bisect import bisect_left
-from operator import le, mul, sub
+from operator import le, mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, RangeError, StructureError
@@ -241,93 +245,115 @@ def find_embedding(
     return _embedding(A.ones_sorted(), A.dims, P, node_budget)
 
 
+@functools.lru_cache(maxsize=64)
+def _embedding_plan(
+    P: TensorMatrix, dims: tuple[int, ...], through_last: bool
+) -> tuple[tuple[Coord, ...], tuple]:
+    """(lex-sorted ones of P, window plan) for `_embedding` on hosts of
+    extents `dims`, the lex-greatest 1 of P mapped first with through_last.
+
+    The search maps the 1s of P in lex order, so which of them are mapped
+    when one comes up depends on P alone.  Entry i of the plan gives, per
+    axis, the least and greatest host coordinate 1 i may map to, each as a
+    (source, offset) pair meaning the source's image on that axis plus the
+    offset.  If a mapped 1 shares the coordinate, both bounds are its image.
+    Otherwise they come from the mapped coordinates nearest below and above
+    plus the distance to them; source len(ones), an all-zero image, gives a
+    bound that no mapped 1 does: the coordinate itself below, and the
+    coordinate plus the room the extents leave above.  In a valid partial
+    map the slack (image minus coordinate) never decreases along an axis,
+    so the nearest mapped coordinates give the window that all of them
+    would.  An entry is (axis-1 bounds, (axis, bounds) per later axis).
+    """
+    pat = tuple(P.ones_sorted())
+    zero = len(pat)
+    # per axis, the mapped 1 that each coordinate 0..k+1 holds, the ends
+    # standing in for nothing mapped below or above
+    holders = []
+    for k in P.dims:
+        held = [None] * (k + 2)
+        held[0] = held[-1] = zero
+        holders.append(held)
+    if through_last and pat:
+        for held, p in zip(holders, pat[-1]):
+            held[p] = zero - 1
+    plan = []
+    for i in range(zero - 1 if through_last else zero):
+        bounds = []
+        for ax, p in enumerate(pat[i]):
+            held = holders[ax]
+            j = held[p]
+            if j is not None:
+                bounds.append((ax, j, 0, j, 0))
+                continue
+            lo = p - 1
+            while held[lo] is None:
+                lo -= 1
+            hi = p + 1
+            while held[hi] is None:
+                hi += 1
+            if hi > P.dims[ax]:
+                bounds.append((ax, held[lo], p - lo, zero, p + dims[ax] - P.dims[ax]))
+            else:
+                bounds.append((ax, held[lo], p - lo, held[hi], p - hi))
+            held[p] = i
+        plan.append((bounds[0][1:], tuple(bounds[1:])))
+    return pat, tuple(plan)
+
+
 def _embedding(
     host: list[Coord], dims: tuple[int, ...], P: TensorMatrix,
-    node_budget: int | None = None, through_last: bool = False,
+    node_budget: int | None = None, through: Coord | None = None,
 ) -> list[tuple[Coord, Coord]] | None:
     """`find_embedding` on the lex-sorted ones `host` of a matrix of extents
     `dims`.
 
     Strictly increasing axis maps keep lex order, so the image of each 1 of
     P comes after the image of the 1 before it.  At each step the search
-    computes, per axis, the window of host coordinates the next 1 of P may
-    map to given the coordinates already mapped, and tries, in order, the
-    host ones past the previous image whose first coordinate lies in axis
-    1's window (a bisected slice of `host`), testing the other axes against
-    theirs.  With through_last, only embeddings using host[-1] are searched:
-    the lex-greatest host 1 can only be the image of the lex-greatest 1 of
-    P, and that pair is pinned before the search runs over the rest.
+    reads, per axis, the window of host coordinates the next 1 of P may map
+    to off the plan of P (`_embedding_plan`) and the images so far, and
+    tries, in order, the host ones past the previous image whose first
+    coordinate lies in axis 1's window (a bisected slice of `host`),
+    testing the other axes against theirs.  With `through`, a host 1
+    lex-greater than every one of `host`, only embeddings using it are
+    searched: it can only be the image of the lex-greatest 1 of P, and that
+    pair is pinned before the search runs over `host`.
     """
     if not all(map(le, P.dims, dims)):
         return None
-    pat = P.ones_sorted()
+    pat, plan = _embedding_plan(P, dims, through is not None)
     if not pat:
         return []
-    if len(host) < len(pat):  # each pattern 1 needs its own host 1
+    if len(host) < len(plan):  # each pattern 1 needs its own host 1
         return None
+    img = [None] * len(pat) + [(0,) * len(dims)]  # by 1 of P, then the zero image
+    if through is not None:
+        # nothing else is mapped yet, so only the ends bound the pair
+        if not all(p <= v <= p + n - k for p, v, n, k in zip(pat[-1], through, dims, P.dims)):
+            return None
+        img[len(pat) - 1] = through  # the lex-greatest 1 of P
     spend = _Budget(node_budget).spend
-    # per axis, how far a host coordinate may lie past its pattern coordinate
-    room = [n - k for n, k in zip(dims, P.dims)]
-    # per-axis partial maps pattern coordinate -> host coordinate
-    maps: list[dict[int, int]] = [{} for _ in dims]
     end = len(host)
 
-    pinned = []
-    if through_last:
-        # nothing is mapped yet, so only the ends bound the pair
-        pc, hc = pat.pop(), host[-1]
-        if not all(map(le, pc, hc)) or not all(map(le, map(sub, hc, pc), room)):
-            return None
-        for m, p, v in zip(maps, pc, hc):
-            m[p] = v
-        pinned = [(pc, hc)]
-        end -= 1
-    chosen: list[Coord] = []
-
     def rec(i: int, start: int) -> bool:
-        if i == len(pat):
+        if i == len(plan):
             return True
-        pc = pat[i]
-        # per axis, the least and greatest host coordinate for pc: its image
-        # if mapped, else p plus the least and greatest slack (image minus
-        # coordinate) that the mapped coordinates on either side leave
-        window = []  # (axis, least, greatest)
-        fresh = []  # (axis, map, coordinate) that pc maps first
-        for ax, (p, r, m) in enumerate(zip(pc, room, maps)):
-            got = m.get(p)
-            if got is not None:
-                window.append((ax, got, got))
-                continue
-            fresh.append((ax, m, p))
-            a, b = 0, r
-            for q, w in m.items():
-                if q < p:
-                    if w - q > a:
-                        a = w - q
-                elif w - q < b:
-                    b = w - q
-            window.append((ax, p + a, p + b))
-        _, lo, hi = window.pop(0)  # axis 1 bounds the slice, the rest each 1
-        stop = bisect_left(host, (hi + 1,), start, end)
-        for j in range(bisect_left(host, (lo,), start, stop), stop):
+        (lo, lo_off, hi, hi_off), rest = plan[i]
+        stop = bisect_left(host, (img[hi][0] + hi_off + 1,), start, end)
+        for j in range(bisect_left(host, (img[lo][0] + lo_off,), start, stop), stop):
             spend()
             hc = host[j]
-            for ax, a, b in window:
-                if not a <= hc[ax] <= b:
+            for ax, a, a_off, b, b_off in rest:
+                if not img[a][ax] + a_off <= hc[ax] <= img[b][ax] + b_off:
                     break
             else:
-                for ax, m, p in fresh:
-                    m[p] = hc[ax]
-                chosen.append(hc)
+                img[i] = hc
                 if rec(i + 1, j + 1):
                     return True
-                chosen.pop()
-                for ax, m, p in fresh:
-                    del m[p]
         return False
 
     if rec(0, 0):
-        return list(zip(pat, chosen)) + pinned
+        return list(zip(pat, img))
     return None
 
 

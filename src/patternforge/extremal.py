@@ -234,6 +234,9 @@ def _intact_length(data: bytes) -> int:
     return len(data)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _parsed_lines(
     cache_dir: str | Path, noted: set[str] | None = None
 ) -> Iterator[tuple[int, dict]]:
@@ -241,7 +244,15 @@ def _parsed_lines(
     a torn tail are skipped, the latter with a note on stderr, and any other
     line that is not a JSON object raises StructureError naming it.  A note
     already in `noted`, the notes printed by earlier reads of the same
-    request, is not printed again."""
+    request, is not printed again.
+
+    The intact bytes are decoded once, and each line is read by one scan
+    from its start, which is taken when it ends in a JSON object followed on
+    its line only by spaces or tabs.  Any other line goes through
+    `_line_object`, and so does every line of a file that is not UTF-8 or
+    that holds a carriage return, so each answer and error is that of
+    reading the lines one by one.
+    """
     path = records_path(cache_dir)
     if not path.exists():
         return
@@ -254,16 +265,46 @@ def _parsed_lines(
         if note not in noted:
             print(note, file=sys.stderr)
             noted.add(note)
-    for lineno, line in enumerate(intact.splitlines(), start=1):
-        if not line.strip():
-            continue
+    try:
+        text = intact.decode()
+    except UnicodeDecodeError:
+        text = None
+    if text is None or "\r" in text:
+        for lineno, line in enumerate(intact.splitlines(), start=1):
+            obj = _line_object(path, lineno, line)
+            if obj is not None:
+                yield lineno, obj
+        return
+    pos = lineno = 0
+    while pos < len(text):
+        lineno += 1
+        stop = text.find("\n", pos)
+        if stop < 0:
+            stop = len(text)
         try:
-            obj = json.loads(line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StructureError(f"{path}:{lineno}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise StructureError(f"{path}:{lineno}: a record must be a JSON object")
-        yield lineno, obj
+            obj, end = _DECODER.raw_decode(text, pos)
+            taken = end <= stop and isinstance(obj, dict) and not text[end:stop].strip(" \t")
+        except json.JSONDecodeError:
+            taken = False
+        if not taken:
+            obj = _line_object(path, lineno, text[pos:stop].encode())
+        if obj is not None:
+            yield lineno, obj
+        pos = stop + 1
+
+
+def _line_object(path: Path, lineno: int, line: bytes) -> dict | None:
+    """The JSON object on line `lineno` of the cache at `path`, None for a
+    blank line; StructureError for any other line."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise StructureError(f"{path}:{lineno}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise StructureError(f"{path}:{lineno}: a record must be a JSON object")
+    return obj
 
 
 def _record_at(
@@ -333,12 +374,13 @@ def _cached_lookup(
     """
     if cfg.cache_dir is None:
         return None, None
-    fields = (("kind", kind), ("n", n), ("d", P.d), ("fingerprint", cfg.fingerprint()))
+    key = (kind, n, P.d, cfg.fingerprint())
     pattern = tensor_to_json(P)
     exact = None
     seed = None
     for lineno, data in _parsed_lines(cfg.cache_dir, noted):
-        if any(data.get(f) != v for f, v in fields) or not _holds_pattern(data, pattern):
+        got = (data.get("kind"), data.get("n"), data.get("d"), data.get("fingerprint"))
+        if got != key or not _holds_pattern(data, pattern):
             continue
         rec = _record_at(cfg.cache_dir, lineno, data)
         if rec.status == "exact":
@@ -374,7 +416,7 @@ def _run(
     if kind == "f":
         # cells arrive in lex order, so the new cell is the lex-greatest one
         def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
-            return _embedding(chosen + [cell], dims, P, through_last=True) is not None
+            return _embedding(chosen, dims, P, through=cell) is not None
     else:
         def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
             return _sweep(chosen + [cell], P, dims) is not None

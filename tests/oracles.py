@@ -7,7 +7,9 @@ oracle calls only the public `contains_pattern` and `contract`.
 """
 
 import itertools
+import json
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -195,6 +197,35 @@ def cached_lookup_oracle(cache_dir, kind: str, n: int, P: TensorMatrix, fingerpr
         elif seed is None or rec.value > seed.value:
             seed = rec
     return exact, seed
+
+
+def parsed_lines_oracle(cache_dir) -> list[tuple[int, dict]]:
+    """The (line number, JSON object) pairs of a record cache read one line
+    at a time: a torn tail (a last line with no newline that is not JSON) is
+    dropped, lines that `bytes.strip` empties are skipped, and any other
+    line is decoded and parsed on its own and must hold a JSON object, else
+    StructureError names it."""
+    path = Path(cache_dir) / "records.jsonl"
+    if not path.exists():
+        return []
+    data = path.read_bytes()
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        data = data[:start]
+    out = []
+    for lineno, line in enumerate(data.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise StructureError(f"{path}:{lineno}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise StructureError(f"{path}:{lineno}: a record must be a JSON object")
+        out.append((lineno, obj))
+    return out
 
 
 def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:

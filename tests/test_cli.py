@@ -19,6 +19,7 @@ from patternforge import (
     tensor_to_json,
     verify_witness,
 )
+from patternforge import extremal
 from patternforge.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,6 +258,32 @@ def test_records_verify_flags_tampering(files, tmp_path, capsys):
                  "--cache-dir", str(cache)])
     assert "verification failure" in capsys.readouterr().err
     assert code == 4  # a cache hit is checked before it is served
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["extremal", "f", "--n", "3"], ["extremal", "m", "--n", "3"],
+     ["ratio-seq", "--n-from", "1", "--n-to", "2"], ["records", "list"],
+     ["records", "verify"]],
+    ids=["extremal-f", "extremal-m", "ratio-seq", "records-list", "records-verify"],
+)
+def test_cache_dir_naming_a_file_exits_2_before_any_read(argv, tmp_path, capsys, monkeypatch):
+    not_dir = tmp_path / "cache"
+    not_dir.write_text("")
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(extremal, "_branch_and_bound", no_search)
+    if argv[0] != "records":  # a pattern read first would fail on the missing file
+        argv = argv + ["--pattern", str(tmp_path / "missing.tsr")]
+    assert main(argv + ["--cache-dir", str(not_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cache directory {not_dir} is not a directory\n"
+    monkeypatch.setenv("PATTERNFORGE_CACHE", str(not_dir))
+    assert main(argv) == 2
+    assert "is not a directory" in capsys.readouterr().err
 
 
 def test_torn_cache_tail_is_dropped(files, tmp_path, capsys):

@@ -166,7 +166,7 @@ class TestEmbeddingThroughLast:
     @given(hosts_avoiding_before_last())
     def test_matches_brute_force(self, case):
         dims, P, host = case
-        emb = containment._embedding(host, dims, P, through_last=True)
+        emb = containment._embedding(host[:-1], dims, P, through=host[-1])
         assert (emb is not None) == oracles.contains_oracle(TensorMatrix(dims, host), P)
         if emb is not None:
             assert [pc for pc, _ in emb] == P.ones_sorted()
@@ -179,6 +179,15 @@ class TestEmbeddingThroughLast:
 # skips the host ones of row 1 that follow the image of (1, 1)
 EMPTY_WINDOW = TensorMatrix((3, 3), [(1, 1), (1, 2), (1, 3)])
 SKIPPING_SLICE = TensorMatrix((3, 3), [(1, 1), (1, 2), (1, 3), (3, 3)])
+# 1s of P that share a row and a column: (1, 2) takes the image row of
+# (1, 1), and (2, 2) the image column of (1, 2); the host's first two rows
+# hold no such pair, so the first embedding starts at (2, 1)
+SHARING = TensorMatrix((2, 2), [(1, 1), (1, 2), (2, 2)])
+SHARING_HOST = TensorMatrix((3, 3), [(1, 1), (2, 1), (2, 3), (3, 3)])
+# with through_last the pinned (2, 2) shares its column with (1, 2) and its
+# row with (2, 1), so those two must land in the column and row of (3, 3)
+PINNED_SHARING = TensorMatrix((2, 2), [(1, 2), (2, 1), (2, 2)])
+PINNED_HOST = TensorMatrix((3, 3), [(1, 3), (2, 1), (3, 1), (3, 3)])
 
 
 class TestWindowedEmbedding:
@@ -188,9 +197,15 @@ class TestWindowedEmbedding:
     @example(pair=(EMPTY_WINDOW, IDENTITY2), through_last=True)
     @example(pair=(SKIPPING_SLICE, IDENTITY2), through_last=False)
     @example(pair=(SKIPPING_SLICE, IDENTITY2), through_last=True)
+    @example(pair=(SHARING_HOST, SHARING), through_last=False)
+    @example(pair=(SHARING_HOST, SHARING), through_last=True)
+    @example(pair=(PINNED_HOST, PINNED_SHARING), through_last=True)
+    @example(pair=(PINNED_HOST, PINNED_SHARING), through_last=False)
     def test_first_embedding_matches_oracle(self, pair, through_last):
         A, P = pair
-        got = containment._embedding(A.ones_sorted(), A.dims, P, through_last=through_last)
+        host = A.ones_sorted()
+        through = host.pop() if through_last and host else None
+        got = containment._embedding(host, A.dims, P, through=through)
         assert got == oracles.first_embedding_oracle(A, P, through_last)
 
     def test_a_node_is_a_host_one_tried_inside_its_window(self):

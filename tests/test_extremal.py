@@ -19,6 +19,7 @@ from patternforge.extremal import (
     RatioPoint,
     SearchConfig,
     _cached_lookup,
+    _parsed_lines,
     append_record,
     load_records,
     max_ones_avoiding,
@@ -258,6 +259,31 @@ LINE_EDITS = {
 }
 
 
+# one line each of a record cache, to mix into files that `_parsed_lines`
+# must read as the line-by-line oracle does
+_RECORD = json.dumps({"kind": "f", "n": 2, "ones": [[1, 2], [2, 1]]}).encode()
+CACHE_LINES = {
+    "record": _RECORD,
+    "blank": b"",
+    "vt": b"\x0b",  # bytes.strip empties these three, str.strip all four
+    "ff": b"\x0c",
+    "spaces": b" \t ",
+    "nbsp": "\xa0".encode(),
+    "padded": b" \t" + _RECORD + b"\t ",
+    "ff-after": _RECORD + b"\x0c",
+    "separators": json.dumps({"s": "a\u2028b\x85c"}, ensure_ascii=False).encode(),
+    "nan-field": b'{"n": NaN}',
+    "split-open": b'{"kind":',
+    "split-close": b' "f"}',
+    "two-values": _RECORD + b" " + _RECORD,
+    "scalar": b"3",
+    "nan": b"NaN",
+    "not-utf8": b'{"s": "\xff"}',
+    "bad-json": b'{"kind": f}',
+    "torn": b'{"kind": "f", "n',
+}
+
+
 class TestCache:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -295,6 +321,40 @@ class TestCache:
             records_path(cache).write_text(text)
             got = _cached_lookup(SearchConfig(cache_dir=cache), "f", 2, IDENTITY2)
             assert got == oracles.cached_lookup_oracle(cache, "f", 2, IDENTITY2, FP)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(sorted(CACHE_LINES)), max_size=10),
+        ends=st.lists(st.sampled_from([b"\n"] * 6 + [b"\r\n", b"\r"]), min_size=10, max_size=10),
+        tail=st.sampled_from([b"", b"\n", b" ", CACHE_LINES["torn"], CACHE_LINES["record"]]),
+    )
+    @example(lines=["record", "blank", "vt", "ff", "spaces", "record"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "nbsp", "record"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "padded", "separators", "nan-field"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "ff-after"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "record", "padded"], ends=[b"\r\n"] + [b"\n"] * 9, tail=b"")
+    @example(lines=["record", "record", "blank"], ends=[b"\n", b"\r"] + [b"\n"] * 8, tail=b"")
+    @example(lines=["record", "split-open", "split-close"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "two-values"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "scalar"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "nan"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "not-utf8", "record"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record", "bad-json"], ends=[b"\n"] * 10, tail=b"")
+    @example(lines=["record"], ends=[b"\n"] * 10, tail=CACHE_LINES["torn"])
+    def test_parsed_lines_match_the_line_by_line_read(self, lines, ends, tail):
+        data = b"".join(CACHE_LINES[name] + end for name, end in zip(lines, ends)) + tail
+        with tempfile.TemporaryDirectory() as cache:
+            records_path(cache).write_bytes(data)
+            try:
+                want = repr(oracles.parsed_lines_oracle(cache))
+            except StructureError as exc:
+                want = exc
+            try:
+                got = repr(list(_parsed_lines(cache, noted=set())))
+            except StructureError as exc:
+                assert (type(exc), str(exc)) == (type(want), str(want))
+            else:
+                assert got == want  # repr, so that NaN fields compare equal
 
     def test_hit_builds_one_record(self, tmp_path, monkeypatch):
         hit = max_ones_avoiding(2, IDENTITY2)
@@ -574,6 +634,17 @@ def test_records_verify_spends_pinned_nodes(tmp_path, capsys, monkeypatch):
     assert main(["records", "verify", "--cache-dir", str(tmp_path)]) == 0
     assert "all records verified" in capsys.readouterr().out
     assert nodes == 349
+
+
+def test_f_search_builds_its_plan_once():
+    containment._embedding_plan.cache_clear()
+    rec = max_ones_avoiding(4, TensorMatrix((3, 3), [(1, 2), (2, 3), (3, 1)]))
+    assert rec.value == 12
+    # one plan for every checker call, each pinning its new cell, and one
+    # for the check of the found witness
+    info = containment._embedding_plan.cache_info()
+    assert info.misses == 2
+    assert info.hits > 100
 
 
 def test_m_search_builds_each_factor_table_once():
