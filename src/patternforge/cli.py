@@ -30,7 +30,6 @@ from .containment import GridWitness, contains_interval_minor, find_embedding
 from .errors import (
     BudgetExceededError,
     PatternforgeError,
-    PreconditionError,
     StructureError,
     TensorParseError,
     VerificationError,
@@ -125,12 +124,8 @@ def _tensor_lines(A: TensorMatrix) -> list[str]:
 
 def _cache_dir(args) -> str | None:
     """The cache directory that --cache-dir or PATTERNFORGE_CACHE names, None
-    for neither; PreconditionError when it names something that exists and
-    is not a directory, which no read could find records in nor append to."""
-    cache = getattr(args, "cache_dir", None) or os.environ.get("PATTERNFORGE_CACHE") or None
-    if cache is not None and os.path.exists(cache) and not os.path.isdir(cache):
-        raise PreconditionError(f"cache directory {cache} is not a directory")
-    return cache
+    for neither; the library refuses one that is not a directory."""
+    return getattr(args, "cache_dir", None) or os.environ.get("PATTERNFORGE_CACHE") or None
 
 
 def _search_config(args) -> SearchConfig:

@@ -242,46 +242,50 @@ def find_embedding(
     (p <= v <= n - (k - p)).
     """
     _check_same_d(A, P)
-    return _embedding(A.ones_sorted(), A.dims, P, node_budget)
+    return _embedding(A.ones_sorted(), _embedding_plan(P, A.dims), node_budget)
 
 
-@functools.lru_cache(maxsize=64)
 def _embedding_plan(
-    P: TensorMatrix, dims: tuple[int, ...], through_last: bool
-) -> tuple[tuple[Coord, ...], tuple]:
-    """(lex-sorted ones of P, window plan) for `_embedding` on hosts of
-    extents `dims`, the lex-greatest 1 of P mapped first with through_last.
+    P: TensorMatrix, dims: tuple[int, ...], through_last: bool = False
+) -> tuple | None:
+    """The plan `_embedding` follows to search hosts of extents `dims` for
+    P, the lex-greatest 1 of P mapped first with through_last; None when P
+    does not fit in `dims`.  A search makes it once: `find_embedding` per
+    call, branch and bound's f checker once for all its calls.
 
     The search maps the 1s of P in lex order, so which of them are mapped
-    when one comes up depends on P alone.  Entry i of the plan gives, per
-    axis, the least and greatest host coordinate 1 i may map to, each as a
-    (source, offset) pair meaning the source's image on that axis plus the
-    offset.  If a mapped 1 shares the coordinate, both bounds are its image.
-    Otherwise they come from the mapped coordinates nearest below and above
-    plus the distance to them; source len(ones), an all-zero image, gives a
-    bound that no mapped 1 does: the coordinate itself below, and the
-    coordinate plus the room the extents leave above.  In a valid partial
-    map the slack (image minus coordinate) never decreases along an axis,
-    so the nearest mapped coordinates give the window that all of them
-    would.  An entry is (axis-1 bounds, (axis, bounds) per later axis).
+    when one comes up depends on P alone.  The plan is (the lex-sorted ones
+    of P, one step per 1 searched, the least and the greatest coordinates
+    of the pinned 1's image).  A step gives, per axis, the least and
+    greatest host coordinate its 1 may map to, each as a (source, offset)
+    pair meaning the source's image on that axis plus the offset.  If a
+    mapped 1 shares the coordinate, both bounds are its image.  Otherwise
+    they come from the mapped coordinates nearest below and above plus the
+    distance to them; source len(ones), an all-zero image, gives a bound
+    that no mapped 1 does: the coordinate itself below, and the coordinate
+    plus the room the extents leave above.  In a valid partial map the
+    slack (image minus coordinate) never decreases along an axis, so the
+    nearest mapped coordinates give the window that all of them would.  A
+    step is ((axis, bounds) for axis 1, (axis, bounds) per later axis).
     """
-    pat = tuple(P.ones_sorted())
+    if not all(map(le, P.dims, dims)):
+        return None
+    pat = P.ones_sorted()
     zero = len(pat)
-    # per axis, the mapped 1 that each coordinate 0..k+1 holds, the ends
-    # standing in for nothing mapped below or above
-    holders = []
-    for k in P.dims:
+    searched = zero - 1 if through_last and pat else zero
+    # per axis, the bounds of each searched 1 in turn; held[c] is the
+    # mapped 1 that holds coordinate c, the ends 0 and k + 1 standing in
+    # for nothing mapped below or above
+    axes = []
+    for ax, k in enumerate(P.dims):
         held = [None] * (k + 2)
         held[0] = held[-1] = zero
-        holders.append(held)
-    if through_last and pat:
-        for held, p in zip(holders, pat[-1]):
-            held[p] = zero - 1
-    plan = []
-    for i in range(zero - 1 if through_last else zero):
-        bounds = []
-        for ax, p in enumerate(pat[i]):
-            held = holders[ax]
+        if searched < zero:
+            held[pat[-1][ax]] = searched
+        room = dims[ax] - k
+        bounds = []  # (axis, source, offset, source, offset) per searched 1
+        for i in range(searched):
+            p = pat[i][ax]
             j = held[p]
             if j is not None:
                 bounds.append((ax, j, 0, j, 0))
@@ -292,53 +296,58 @@ def _embedding_plan(
             hi = p + 1
             while held[hi] is None:
                 hi += 1
-            if hi > P.dims[ax]:
-                bounds.append((ax, held[lo], p - lo, zero, p + dims[ax] - P.dims[ax]))
+            if hi > k:
+                bounds.append((ax, held[lo], p - lo, zero, p + room))
             else:
                 bounds.append((ax, held[lo], p - lo, held[hi], p - hi))
             held[p] = i
-        plan.append((bounds[0][1:], tuple(bounds[1:])))
-    return pat, tuple(plan)
+        axes.append(bounds)
+    later = zip(*axes[1:]) if len(axes) > 1 else itertools.repeat(())
+    steps = tuple(zip(axes[0], later))
+    pin = None
+    if searched < zero:
+        pin = (pat[-1], tuple(p + n - k for p, n, k in zip(pat[-1], dims, P.dims)))
+    return pat, steps, pin
 
 
 def _embedding(
-    host: list[Coord], dims: tuple[int, ...], P: TensorMatrix,
-    node_budget: int | None = None, through: Coord | None = None,
+    host: list[Coord], plan: tuple | None, node_budget: int | None = None,
+    through: Coord | None = None,
 ) -> list[tuple[Coord, Coord]] | None:
-    """`find_embedding` on the lex-sorted ones `host` of a matrix of extents
-    `dims`.
+    """`find_embedding` on the lex-sorted ones `host` of a matrix, following
+    `plan`, the `_embedding_plan` of the pattern for the matrix's extents.
 
     Strictly increasing axis maps keep lex order, so the image of each 1 of
     P comes after the image of the 1 before it.  At each step the search
     reads, per axis, the window of host coordinates the next 1 of P may map
-    to off the plan of P (`_embedding_plan`) and the images so far, and
-    tries, in order, the host ones past the previous image whose first
-    coordinate lies in axis 1's window (a bisected slice of `host`),
-    testing the other axes against theirs.  With `through`, a host 1
-    lex-greater than every one of `host`, only embeddings using it are
+    to off the plan and the images so far, and tries, in order, the host
+    ones past the previous image whose first coordinate lies in axis 1's
+    window (a bisected slice of `host`), testing the other axes against
+    theirs.  With a plan made through_last, `through` is a host 1
+    lex-greater than every one of `host`, and only embeddings using it are
     searched: it can only be the image of the lex-greatest 1 of P, and that
     pair is pinned before the search runs over `host`.
     """
-    if not all(map(le, P.dims, dims)):
+    if plan is None:
         return None
-    pat, plan = _embedding_plan(P, dims, through is not None)
+    pat, steps, pin = plan
     if not pat:
         return []
-    if len(host) < len(plan):  # each pattern 1 needs its own host 1
+    if len(host) < len(steps):  # each pattern 1 needs its own host 1
         return None
-    img = [None] * len(pat) + [(0,) * len(dims)]  # by 1 of P, then the zero image
-    if through is not None:
+    img = [None] * len(pat) + [(0,) * len(pat[0])]  # by 1 of P, then the zero image
+    if pin is not None:
         # nothing else is mapped yet, so only the ends bound the pair
-        if not all(p <= v <= p + n - k for p, v, n, k in zip(pat[-1], through, dims, P.dims)):
+        if not (all(map(le, pin[0], through)) and all(map(le, through, pin[1]))):
             return None
         img[len(pat) - 1] = through  # the lex-greatest 1 of P
     spend = _Budget(node_budget).spend
     end = len(host)
 
     def rec(i: int, start: int) -> bool:
-        if i == len(plan):
+        if i == len(steps):
             return True
-        (lo, lo_off, hi, hi_off), rest = plan[i]
+        (_, lo, lo_off, hi, hi_off), rest = steps[i]
         stop = bisect_left(host, (img[hi][0] + hi_off + 1,), start, end)
         for j in range(bisect_left(host, (img[lo][0] + lo_off,), start, stop), stop):
             spend()
@@ -479,7 +488,8 @@ def _allones_decider(
     if tuples * (ones_count + dims[-1]) > _MISS_SWEEP_STEPS:
         return lambda ones: _allones_minor(ones, ks, dims)
     B = all_ones(ks)
-    return lambda ones: _sweep(ones, B, dims) is not None
+    need = _need_masks(B)
+    return lambda ones: _sweep(ones, B, dims, need=need) is not None
 
 
 # a leading axis keeps the factor tables of its tuples of ends for later
@@ -524,20 +534,26 @@ def _kept_factor_tables(
     return tuple(_factor_tables(n, k, stride, got))
 
 
-@functools.lru_cache(maxsize=64)
 def _need_masks(B: TensorMatrix) -> tuple[int, ...]:
     """Per part j of B's last axis, the bits of the (d-1)-blocks that B's
     cross-section j has a 1 in."""
     strides = _strides(B.dims)
+    origin = sum(strides)  # the block number of (1, ..., 1)
     need = [0] * B.dims[-1]
     for one in B.ones:
-        need[one[-1] - 1] |= 1 << sum(map(mul, one, strides)) - sum(strides)
+        need[one[-1] - 1] |= 1 << sum(map(mul, one, strides)) - origin
     return tuple(need)
+
+
+def _chart(table: tuple[int, ...], col: tuple[int, ...]) -> list[int]:
+    """The factor of each 1 on one axis, by its coordinate `col`; its bit is
+    the product over the leading axes."""
+    return list(map(table.__getitem__, col))
 
 
 def _sweep(
     ones: Collection[Coord], B: TensorMatrix, dims: tuple[int, ...],
-    fixed: Sequence[int] = (),
+    fixed: Sequence[int] = (), need: Sequence[int] | None = None,
 ) -> list[int] | None:
     """Last-axis ends of a grid witness that B is an interval minor of the
     matrix of extents `dims` with the distinct ones `ones`, or None.
@@ -553,29 +569,25 @@ def _sweep(
     only grow with the interval, so these closes are the least last-axis
     ends of any witness with the tuple's ends.  Returns the closes of the
     first tuple that completes.  What depends only on the extents, the
-    strides and the factor tables of small axes, is cached, and so are B's
-    need masks; a call charts its ones and closes the parts.
+    strides and the factor tables of small axes, is cached; a caller that
+    sweeps many times with one B passes its `_need_masks` as `need`, and a
+    call charts its ones and closes the parts.
     """
     ks = B.dims
-    if any(k > n for k, n in zip(ks, dims)):
+    if not all(map(le, ks, dims)):
         return None
+    if need is None:
+        need = _need_masks(B)
     strides = _strides(ks)
     cols = list(zip(*ones)) or [()] * len(dims)
-
-    def chart(table: tuple[int, ...], col: tuple[int, ...]) -> list[int]:
-        # the factor of each 1 on one axis; its bit is the product over the
-        # leading axes
-        return list(map(table.__getitem__, col))
-
     charts = []  # per leading axis; the first one's are made one at a time
     for ax, k in enumerate(ks[:-1]):
         got, fixed = tuple(fixed[:k]), fixed[k:]
         n = dims[ax]
         kept = math.comb(n - 1, k - 1) * (n + 1) <= _KEPT_FACTORS
         tables = (_kept_factor_tables if kept else _factor_tables)(n, k, strides[ax], got)
-        made = map(chart, tables, itertools.repeat(cols[ax]))
+        made = map(_chart, tables, itertools.repeat(cols[ax]))
         charts.append(list(made) if ax else made)
-    need = _need_masks(B)
     last = cols[-1]
     for first in charts.pop(0) if charts else [[1] * len(last)]:
         for rest in itertools.product(*charts):
@@ -675,10 +687,11 @@ def contains_interval_minor(
     if B.ones_count == B.cell_count and _allones_shortcut(A, B) is False:
         return None
     budget = _Budget(node_budget)
+    need = _need_masks(B)
 
     def sweep(fixed: list[int]) -> list[int] | None:
         budget.spend()
-        return _sweep(A.ones, B, A.dims, fixed)
+        return _sweep(A.ones, B, A.dims, fixed, need)
 
     closes = sweep([])
     if closes is None:

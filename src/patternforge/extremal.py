@@ -14,22 +14,21 @@ from __future__ import annotations
 import fcntl
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .containment import _Budget, _embedding, _sweep, contains_pattern, has_interval_minor
+from .containment import (
+    _Budget, _embedding, _embedding_plan, _need_masks, _sweep, contains_pattern,
+    has_interval_minor,
+)
 from .errors import (
     BudgetExceededError, PreconditionError, StructureError, TensorParseError, VerificationError
 )
-from .tensor import (
-    Coord,
-    TensorMatrix,
-    tensor_from_json,
-    tensor_to_json,
-)
+from .tensor import Coord, TensorMatrix, _tensor_from_json, tensor_to_json
 
 _ALGO = "bnb-lex-1"
 
@@ -55,6 +54,8 @@ class SearchConfig:
             raise PreconditionError("node budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:  # NaN too
             raise PreconditionError("time budget must be positive")
+        if self.cache_dir is not None:
+            _check_cache_dir(self.cache_dir)
 
     def fingerprint(self) -> str:
         """Digest of everything that can influence the found witness."""
@@ -130,46 +131,30 @@ class ExtremalRecord:
         return cls._from_json(data, {})
 
     @classmethod
-    def _from_json(cls, data: dict, patterns: dict) -> "ExtremalRecord":
-        """`from_json`, taking the pattern tensor from `patterns` when an
-        earlier record of the same read stored an equal pattern, and adding
-        it there otherwise."""
+    def _from_json(cls, data: dict, tensors: dict) -> "ExtremalRecord":
+        """`from_json`, taking the pattern and the witness from `tensors`
+        when an earlier record of the same read stored an equal tensor, and
+        adding them there otherwise."""
         try:
             # int() would truncate floats and read booleans and digit strings
-            if not {type(data[f]) for f in ("n", "d", "value")} <= {int}:
+            if (type(data["n"]), type(data["d"]), type(data["value"])) != (int, int, int):
                 raise TypeError("n, d and value must be JSON integers")
-            if not all(isinstance(data[f], dict) for f in ("pattern", "witness")):
+            if not (isinstance(data["pattern"], dict) and isinstance(data["witness"], dict)):
                 raise TypeError("pattern and witness must be JSON objects")
-            key = _plain_key(data["pattern"])
-            pattern = patterns.get(key)
-            if pattern is None:
-                pattern = tensor_from_json(data["pattern"])
-                if key is not None:
-                    patterns[key] = pattern
+            pattern = _tensor_from_json(data["pattern"], tensors)
             return cls(
                 kind=data["kind"],
                 n=data["n"],
                 d=data["d"],
                 pattern=pattern,
                 value=data["value"],
-                witness=tensor_from_json(data["witness"]),
+                witness=_tensor_from_json(data["witness"], tensors),
                 status=data["status"],
                 elapsed=float(data["elapsed"]),
                 fingerprint=data["fingerprint"],
             )
         except (KeyError, TypeError, ValueError, TensorParseError) as exc:
             raise StructureError(f"malformed record: {exc}") from None
-
-
-def _plain_key(raw: dict) -> tuple | None:
-    """(dims, ones) of a JSON tensor as tuples when every extent and
-    coordinate is a plain int, else None.  Only such a key is looked up:
-    1.0 and true equal 1 as dict keys but are not JSON integers."""
-    try:
-        key = (tuple(raw["dims"]), tuple(map(tuple, raw.get("ones", []))))
-    except (KeyError, TypeError):
-        return None
-    return key if set(map(type, itertools.chain(key[0], *key[1]))) <= {int} else None
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +208,14 @@ def records_path(cache_dir: str | Path) -> Path:
     return Path(cache_dir) / RECORDS_FILENAME
 
 
+def _check_cache_dir(cache_dir: str | Path) -> None:
+    """PreconditionError when `cache_dir` names something that exists and is
+    not a directory, where no read could find records nor any append write
+    them; run before any read, search or append."""
+    if not os.path.isdir(cache_dir) and os.path.exists(cache_dir):
+        raise PreconditionError(f"cache directory {cache_dir} is not a directory")
+
+
 def _intact_length(data: bytes) -> int:
     """Length of `data` without a torn tail: a last line, left by a write cut
     short, that has no newline and is not valid JSON."""
@@ -253,6 +246,7 @@ def _parsed_lines(
     that holds a carriage return, so each answer and error is that of
     reading the lines one by one.
     """
+    _check_cache_dir(cache_dir)
     path = records_path(cache_dir)
     if not path.exists():
         return
@@ -308,29 +302,31 @@ def _line_object(path: Path, lineno: int, line: bytes) -> dict | None:
 
 
 def _record_at(
-    cache_dir: str | Path, lineno: int, data: dict, patterns: dict | None = None
+    cache_dir: str | Path, lineno: int, data: dict, tensors: dict | None = None
 ) -> ExtremalRecord:
-    """The record on line `lineno`; with `patterns`, it shares its pattern
-    tensor with the records read before it."""
+    """The record on line `lineno`; with `tensors`, it shares each of its
+    tensors with the records read before it that store an equal one."""
     try:
-        if patterns is None:
+        if tensors is None:
             return ExtremalRecord.from_json(data)
-        return ExtremalRecord._from_json(data, patterns)
+        return ExtremalRecord._from_json(data, tensors)
     except StructureError as exc:
         raise StructureError(f"{records_path(cache_dir)}:{lineno}: {exc}") from None
 
 
 def load_records(cache_dir: str | Path) -> list[ExtremalRecord]:
     """Every record in the cache; a torn tail is skipped, not an error.
-    Records that store equal patterns share one pattern tensor."""
-    patterns: dict = {}
+    Equal tensors, patterns or witnesses, share one object; each record is
+    still built and checked on its own."""
+    tensors: dict = {}
     return [
-        _record_at(cache_dir, lineno, data, patterns)
+        _record_at(cache_dir, lineno, data, tensors)
         for lineno, data in _parsed_lines(cache_dir)
     ]
 
 
 def append_record(cache_dir: str | Path, rec: ExtremalRecord) -> None:
+    _check_cache_dir(cache_dir)
     path = records_path(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
     line = (json.dumps(rec.to_json(), sort_keys=True) + "\n").encode()
@@ -415,11 +411,15 @@ def _run(
 
     if kind == "f":
         # cells arrive in lex order, so the new cell is the lex-greatest one
+        plan = _embedding_plan(P, dims, through_last=True)
+
         def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
-            return _embedding(chosen, dims, P, through=cell) is not None
+            return _embedding(chosen, plan, through=cell) is not None
     else:
+        need = _need_masks(P)
+
         def creates_containment(chosen: list[Coord], cell: Coord) -> bool:
-            return _sweep(chosen + [cell], P, dims) is not None
+            return _sweep(chosen + [cell], P, dims, need=need) is not None
     start = time.perf_counter()
     value, ones, status = _branch_and_bound(dims, creates_containment, cfg, seed)
     elapsed = time.perf_counter() - start

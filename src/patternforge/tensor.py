@@ -16,7 +16,7 @@ import json
 import math
 from bisect import bisect_left
 from operator import le
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import RangeError, StructureError, TensorParseError
 
@@ -36,24 +36,30 @@ class TensorMatrix:
     __slots__ = ("_dims", "_ones", "_sorted")
 
     def __init__(self, dims: Iterable[int], ones: Iterable[Coord] = ()):
-        dims = tuple(int(n) for n in dims)
-        if len(dims) < 1:
-            raise StructureError("a tensor needs at least one axis")
-        if any(n < 1 for n in dims):
-            raise StructureError(f"extents must be positive, got {dims}")
+        dims = _checked_dims(tuple(int(n) for n in dims))
         coords = list(map(tuple, ones))
         # int() turns bools and numpy integers into plain ints, and truncates
         # floats; components that are plain ints already skip it
         if not set(map(type, itertools.chain.from_iterable(coords))) <= {int}:
             coords = [tuple(map(int, c)) for c in coords]
+        self._fill(dims, coords)
+
+    @classmethod
+    def _of_ints(cls, dims: tuple[int, ...], coords: Sequence[Coord]) -> "TensorMatrix":
+        """`TensorMatrix(dims, coords)` for extents and coordinates that are
+        tuples of plain ints already, without converting them."""
+        self = cls.__new__(cls)
+        self._fill(_checked_dims(dims), coords)
+        return self
+
+    def _fill(self, dims: tuple[int, ...], coords: Sequence[Coord]) -> None:
         unique = frozenset(coords)
         # whole-list passes; the per-coordinate walk runs only to name a fault
         if coords and (
             len(unique) != len(coords)
             or set(map(len, coords)) != {len(dims)}
-            or not all(
-                1 <= min(col) and max(col) <= n for col, n in zip(zip(*coords), dims)
-            )
+            or min(itertools.chain.from_iterable(coords)) < 1
+            or not all(map(le, map(max, zip(*coords)), dims))
         ):
             _raise_first_fault(coords, dims)
         self._dims = dims
@@ -125,6 +131,14 @@ class TensorMatrix:
 
     def any_in_box(self, lo: Coord, hi: Coord) -> bool:
         return self.count_in_box(lo, hi) > 0
+
+
+def _checked_dims(dims: tuple[int, ...]) -> tuple[int, ...]:
+    if not dims:
+        raise StructureError("a tensor needs at least one axis")
+    if min(dims) < 1:
+        raise StructureError(f"extents must be positive, got {dims}")
+    return dims
 
 
 def _raise_first_fault(coords: list[Coord], dims: tuple[int, ...]) -> None:
@@ -370,6 +384,15 @@ def tensor_from_json(data: str | dict) -> TensorMatrix:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise TensorParseError(f"invalid JSON: {exc}") from None
+    return _tensor_from_json(data, {})
+
+
+def _tensor_from_json(data: object, tensors: dict) -> TensorMatrix:
+    """`tensor_from_json` of a decoded value, taken from `tensors` when an
+    earlier call stored an equal tensor there and stored there otherwise.
+    The key is the extents and the ones as tuples, made once their types
+    pass the one check below, so 1.0 and true, which equal 1 as dict keys
+    but are not JSON integers, never reach `tensors`."""
     if not isinstance(data, dict) or "dims" not in data:
         raise TensorParseError("JSON tensor needs a 'dims' key")
     dims = data["dims"]
@@ -378,7 +401,11 @@ def tensor_from_json(data: str | dict) -> TensorMatrix:
         # int() would truncate floats and read booleans and digit strings
         if not set(map(type, itertools.chain(dims, *ones))) <= {int}:
             raise TypeError("extents and coordinates must be JSON integers")
-        return TensorMatrix(dims, ones)
+        key = (tuple(dims), tuple(map(tuple, ones)))
+        tensor = tensors.get(key)
+        if tensor is None:
+            tensor = tensors[key] = TensorMatrix._of_ints(*key)
+        return tensor
     except (StructureError, RangeError, TypeError, ValueError) as exc:
         raise TensorParseError(f"malformed JSON tensor: {exc}") from None
 

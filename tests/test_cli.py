@@ -367,6 +367,21 @@ def test_repeated_pattern_with_a_non_integer_one_exits_2(files, tmp_path, capsys
     assert "records.jsonl:2: malformed record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("one", [1.0, True])
+def test_repeated_witness_with_a_non_integer_one_exits_2(files, tmp_path, capsys, one):
+    # records that store equal witnesses share one tensor too
+    cache = tmp_path / "cache"
+    argv = ["extremal", "f", "--n", "2", "--pattern", files["p"], "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    path = cache / "records.jsonl"
+    data = json.loads(path.read_text())
+    data["witness"]["ones"][0][0] = one
+    path.write_text(path.read_text() + json.dumps(data) + "\n")
+    capsys.readouterr()
+    assert main(["records", "verify", "--cache-dir", str(cache)]) == 2
+    assert "records.jsonl:2: malformed record" in capsys.readouterr().err
+
+
 def test_records_cache_from_environment(files, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "envcache"
     run(capsys, ["extremal", "f", "--n", "2", "--pattern", files["p"],

@@ -166,7 +166,8 @@ class TestEmbeddingThroughLast:
     @given(hosts_avoiding_before_last())
     def test_matches_brute_force(self, case):
         dims, P, host = case
-        emb = containment._embedding(host[:-1], dims, P, through=host[-1])
+        plan = containment._embedding_plan(P, dims, through_last=True)
+        emb = containment._embedding(host[:-1], plan, through=host[-1])
         assert (emb is not None) == oracles.contains_oracle(TensorMatrix(dims, host), P)
         if emb is not None:
             assert [pc for pc, _ in emb] == P.ones_sorted()
@@ -205,7 +206,8 @@ class TestWindowedEmbedding:
         A, P = pair
         host = A.ones_sorted()
         through = host.pop() if through_last and host else None
-        got = containment._embedding(host, A.dims, P, through=through)
+        plan = containment._embedding_plan(P, A.dims, through_last=through is not None)
+        got = containment._embedding(host, plan, through=through)
         assert got == oracles.first_embedding_oracle(A, P, through_last)
 
     def test_a_node_is_a_host_one_tried_inside_its_window(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from patternforge import containment
+from patternforge import containment, extremal
 from patternforge.cli import main
 from patternforge.extremal import (
     ExtremalRecord,
@@ -468,6 +468,29 @@ class TestCache:
         assert first.pattern is second.pattern
         assert third.pattern == ANTI2
 
+    @pytest.mark.parametrize("one", [1.0, True])
+    def test_repeated_witness_with_a_non_integer_one_names_its_line(self, tmp_path, one):
+        # 1.0 and true equal 1 as dict keys, so a witness holding one must
+        # not be taken for the equal plain-int witness read before it
+        rec = max_ones_avoiding(2, IDENTITY2)
+        append_record(tmp_path, rec)
+        data = rec.to_json()
+        data["witness"]["ones"][0][0] = one
+        path = records_path(tmp_path)
+        path.write_text(path.read_text() + json.dumps(data) + "\n")
+        with pytest.raises(StructureError, match=r"records\.jsonl:2: malformed record"):
+            load_records(tmp_path)
+
+    def test_records_with_equal_witnesses_share_one_tensor(self, tmp_path):
+        f = max_ones_avoiding(3, IDENTITY2)
+        for rec in (f, _stand_in_record("f", 3, ANTI2, 5, "exact"), f):
+            append_record(tmp_path, rec)
+        first, second, third = load_records(tmp_path)
+        assert first == third == f
+        assert first.witness is third.witness
+        assert first.witness is not second.witness
+        assert first.pattern is third.pattern
+
     def test_non_utf8_line_names_its_line(self, tmp_path):
         append_record(tmp_path, max_ones_avoiding(2, IDENTITY2))
         path = records_path(tmp_path)
@@ -495,6 +518,48 @@ class TestCache:
         rec = max_ones_avoiding(2, IDENTITY2)
         append_record(tmp_path, rec)
         assert load_records(tmp_path) == [rec]
+
+
+class TestCacheDirectoryThatIsAFile:
+    """A cache directory that names an existing file is refused with
+    PreconditionError before anything is read, searched or appended."""
+
+    @pytest.fixture
+    def not_dir(self, tmp_path):
+        path = tmp_path / "cache"
+        path.write_text("not a cache\n")
+        return path
+
+    def test_load_records(self, not_dir):
+        with pytest.raises(PreconditionError) as err:
+            load_records(not_dir)
+        assert str(err.value) == f"cache directory {not_dir} is not a directory"
+
+    def test_append_record(self, not_dir):
+        rec = max_ones_avoiding(2, IDENTITY2)
+        with pytest.raises(PreconditionError, match="is not a directory"):
+            append_record(str(not_dir), rec)
+        assert not_dir.read_text() == "not a cache\n"
+
+    def test_search_config(self, not_dir):
+        with pytest.raises(PreconditionError, match="is not a directory"):
+            max_ones_avoiding(3, IDENTITY2, SearchConfig(cache_dir=not_dir))
+
+    def test_search_does_not_run(self, tmp_path, monkeypatch):
+        # the file appears after the config was made: the cache read refuses
+        # it before the search starts
+        cache = tmp_path / "cache"
+        cfg = SearchConfig(cache_dir=cache)
+        cache.write_text("not a cache\n")
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(extremal, "_branch_and_bound", no_search)
+        for run in (max_ones_avoiding, max_ones_avoiding_minor):
+            with pytest.raises(PreconditionError, match="is not a directory"):
+                run(3, IDENTITY2, cfg)
+        assert cache.read_text() == "not a cache\n"
 
 
 class TestExtremalRecord:
@@ -613,6 +678,25 @@ def test_frozen_witnesses(kind, n, P, ones):
     assert sorted(rec.witness.ones) == ones
 
 
+def test_records_verify_reports_only_the_bad_record_sharing_a_witness(tmp_path, capsys):
+    # three records store one witness; only the second one's pattern is in it
+    f = max_ones_avoiding(3, IDENTITY2)
+    bad = ExtremalRecord(kind="f", n=3, d=2, pattern=ANTI2, value=f.value, witness=f.witness,
+                         status="exact", elapsed=0.0, fingerprint=FP)
+    m = ExtremalRecord(kind="m", n=3, d=2, pattern=IDENTITY2, value=f.value, witness=f.witness,
+                       status="exact", elapsed=0.0, fingerprint=FP)
+    assert contains_pattern(f.witness, ANTI2) and not has_interval_minor(f.witness, IDENTITY2)
+    for rec in (f, bad, m):
+        append_record(tmp_path, rec)
+    first, second, third = load_records(tmp_path)
+    assert first.witness is second.witness is third.witness
+    assert main(["records", "verify", "--cache-dir", str(tmp_path), "--format", "json"]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "checked": 3, "failures": [{"index": 1, "error": "stored witness contains the pattern"}]
+    }
+
+
 def test_records_verify_spends_pinned_nodes(tmp_path, capsys, monkeypatch):
     # the f witnesses' embedding searches try 349 host ones inside their
     # windows; trying every host 1 past the last image took 586
@@ -636,15 +720,29 @@ def test_records_verify_spends_pinned_nodes(tmp_path, capsys, monkeypatch):
     assert nodes == 349
 
 
-def test_f_search_builds_its_plan_once():
-    containment._embedding_plan.cache_clear()
+def test_f_search_builds_its_plan_once(monkeypatch):
+    plan, search = containment._embedding_plan, containment._embedding
+    built = []
+    followed = []
+
+    def planning(*args, **kwargs):
+        built.append(plan(*args, **kwargs))
+        return built[-1]
+
+    def searching(host, plan, *args, **kwargs):
+        followed.append(plan)
+        return search(host, plan, *args, **kwargs)
+
+    for module in (containment, extremal):
+        monkeypatch.setattr(module, "_embedding_plan", planning)
+        monkeypatch.setattr(module, "_embedding", searching)
     rec = max_ones_avoiding(4, TensorMatrix((3, 3), [(1, 2), (2, 3), (3, 1)]))
     assert rec.value == 12
-    # one plan for every checker call, each pinning its new cell, and one
-    # for the check of the found witness
-    info = containment._embedding_plan.cache_info()
-    assert info.misses == 2
-    assert info.hits > 100
+    # one plan for every checker call of the search, each pinning its new
+    # cell, and one for the check of the found witness
+    assert len(built) == 2
+    assert len(followed) > 100
+    assert all(p is built[0] for p in followed[:-1]) and followed[-1] is built[1]
 
 
 def test_m_search_builds_each_factor_table_once():
