@@ -11,11 +11,12 @@ this for every B: fix the interval ends of the leading axes, give each 1 of
 A the bit of its block, and close the parts of the last axis greedily, each
 at the first coordinate where its hits cover what B's cross-section needs.
 An all-ones B first tries the paper's equal split of every axis, a witness
-when each of its blocks holds a 1, and on a large host goes to a numpy form
-of the sweep.  Certificates are lex-least witnesses, found by
-self-reduction: the leading axes' ends are fixed one at a time, each at the
-least value the sweep still completes, and the last axis's ends are the
-closes of the final sweep.
+when each of its blocks holds a 1; when it misses, the sweep's step bound
+picks the pure sweep or a numpy form of it, counting numpy's import as
+steps while numpy is not loaded.  Certificates are lex-least witnesses,
+found by self-reduction: the leading axes' ends are fixed one at a time,
+each at the least value the sweep still completes, and the last axis's
+ends are the closes of the final sweep.
 
 Both deciders are exact and deterministic.  `find_embedding` and
 `contains_interval_minor` take an optional node budget that turns a runaway
@@ -30,7 +31,8 @@ coordinates nearest below and above, whose images bound the window as
 tightly as all the mapped ones do.  For `contains_interval_minor` a node
 is one sweep: on an n x ... x n host with o ones and a k x ... x k target,
 a sweep takes on the order of C(n-1, k-1)^(d-1) * (o + n) steps, and a
-witness at most 1 + (d-1) * n sweeps.
+witness at most 1 + (d-1) * n sweeps, the first of them the decision,
+whichever back end makes it.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import time
 from bisect import bisect_left
 from operator import le, mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, RangeError, StructureError
-from .tensor import Coord, TensorMatrix, _check_same_d, all_ones
+from .tensor import Coord, TensorMatrix, _check_same_d
 
 
 class GridWitness:
@@ -379,11 +382,15 @@ def contains_pattern(A: TensorMatrix, P: TensorMatrix) -> bool:
 
 # the all-ones decider builds block labels in chunks of at most this many bytes
 _LABEL_BYTES = 1 << 23
-# has_interval_minor hands an all-ones target to the numpy sweep above this
-# many leading cut tuples times ones of the host
-_SWEEP_WORK = 10_000
 # `_allones_decider` picks the pure sweep when its step bound is at most this
-_MISS_SWEEP_STEPS = 500
+_SWEEP_STEPS = 500
+# and, while numpy is not loaded, up to this many steps more: the import
+# costs about what the sweep does in that many.  Measured in fresh processes
+# (2 cores, Python 3.11, numpy 2.4) on identity permutations that miss:
+# import plus numpy sweep 107-121 ms, pure sweep 130-205 ns a step, so the
+# pure sweep wins up to 0.55-0.9 million steps (J2 at k = 500, 499,000
+# steps: 76 against 116 ms; at k = 700, 978,600 steps: 145 against 121 ms)
+_NUMPY_IMPORT_STEPS = 600_000
 
 
 def _allones_minor(
@@ -468,12 +475,14 @@ def _allones_minor(
 
 
 def _allones_decider(
-    ks: tuple[int, ...], dims: tuple[int, ...], ones_count: int
+    B: TensorMatrix, dims: tuple[int, ...], ones_count: int
 ) -> Callable[[Collection[Coord]], bool]:
-    """`_allones_minor` for hosts of extents `dims` with `ones_count` ones,
-    or the pure cut sweep where that is faster: where the sweep's step bound,
-    the leading cut tuples times (ones + last extent), is at most
-    `_MISS_SWEEP_STEPS`.
+    """Whether a host of extents `dims` with `ones_count` ones has the
+    all-ones B as an interval minor, as a function of its ones.  This is the
+    one place that picks an exact back end: the pure cut sweep where its
+    step bound, the leading cut tuples times (ones + last extent), is at
+    most `_SWEEP_STEPS`, or at most that plus `_NUMPY_IMPORT_STEPS` while
+    numpy is not loaded; `_allones_minor` otherwise.
 
     Measured per permutation host whose equal split misses (2 cores, Python
     3.11, numpy 2.4; random ones, but block-antidiagonal ones at even k from
@@ -481,13 +490,14 @@ def _allones_decider(
     against 31-83 us for J2 in d = 2 at k = 4..18, bounds 24-612; 121-246
     against 54-76 us for J3 in d = 2 at k = 9..16 and for J2 in d = 3 at
     k = 8..16, bounds 504-7,200.  So the bound alone does not order these
-    points, and the constant is the largest that keeps every measured loss
-    on numpy.
+    points, and `_SWEEP_STEPS` is the largest that keeps every measured
+    loss on numpy.
     """
+    ks = B.dims
     tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(ks[:-1], dims))
-    if tuples * (ones_count + dims[-1]) > _MISS_SWEEP_STEPS:
+    pure = _SWEEP_STEPS + ("numpy" not in sys.modules) * _NUMPY_IMPORT_STEPS
+    if tuples * (ones_count + dims[-1]) > pure:
         return lambda ones: _allones_minor(ones, ks, dims)
-    B = all_ones(ks)
     need = _need_masks(B)
     return lambda ones: _sweep(ones, B, dims, need=need) is not None
 
@@ -637,31 +647,18 @@ def _equal_split_hits(
 def has_interval_minor(A: TensorMatrix, B: TensorMatrix) -> bool:
     """Interval-minor decision without certificate construction.
 
-    All-ones targets first try the equal split of every axis, one pass over
-    the ones of A that answers True when it hits every block.  Then the cut
-    sweep decides, for every target; on a host where the sweep's leading cut
-    tuples times the ones of A exceed `_SWEEP_WORK`, an all-ones target goes
-    to the numpy sweep instead, whose cut tuples lie between coordinates of
-    ones only.
+    An all-ones target first tries the equal split of every axis, one pass
+    over the ones of A that answers True when it hits every block; when it
+    misses, `_allones_decider` picks the pure cut sweep or the numpy sweep,
+    whose cut tuples lie between coordinates of ones only.  Any other
+    target goes to the cut sweep.
     """
     _check_same_d(A, B)
     if B.ones_count == B.cell_count:
-        decided = _allones_shortcut(A, B)
-        if decided is not None:
-            return decided
+        if _equal_split_hits(A.ones, B.dims, A.dims):
+            return True
+        return _allones_decider(B, A.dims, A.ones_count)(A.ones)
     return _sweep(A.ones, B, A.dims) is not None
-
-
-def _allones_shortcut(A: TensorMatrix, B: TensorMatrix) -> bool | None:
-    """The answer for an all-ones B when the equal split hits (True) or the
-    host is large enough for the numpy sweep, whose answer it is; None when
-    the pure cut sweep must decide."""
-    if _equal_split_hits(A.ones, B.dims, A.dims):
-        return True
-    tuples = math.prod(math.comb(n - 1, k - 1) for k, n in zip(B.dims[:-1], A.dims))
-    if tuples * A.ones_count > _SWEEP_WORK:
-        return _allones_minor(A.ones, B.dims, A.dims)
-    return None
 
 
 def contains_interval_minor(
@@ -674,28 +671,26 @@ def contains_interval_minor(
     a2, b2, ... of axis 1, then axis 2, ...).  Stretching each interval left
     to the end of the one before keeps the witness valid and never raises
     that tuple, so the least witness has a1 = 1 and a_{j+1} = b_j + 1, and
-    its ends alone name it.  One cut sweep decides; then the leading axes'
-    ends are fixed one at a time, in flattened order, each at the least
-    value whose prefix the sweep still completes, and the last axis's ends
-    are the closes of the final sweep.  node_budget counts sweeps, the
-    deciding one included.  An all-ones B first tries the equal split and,
-    on a large host, the numpy sweep, so a large host without the minor is
-    turned away before any counted sweep; on a small host whose split
-    misses, the counted deciding sweep is the only one that decides.
+    its ends alone name it.  `has_interval_minor` decides; then the leading
+    axes' ends are fixed one at a time, in flattened order, each at the
+    least value whose prefix the sweep still completes, and the last axis's
+    ends are the closes of the final sweep, one with no prefix for a
+    one-axis B.  node_budget counts the decision as one node, whichever
+    back end makes it, and each sweep after it as one more.
     """
     _check_same_d(A, B)
-    if B.ones_count == B.cell_count and _allones_shortcut(A, B) is False:
-        return None
     budget = _Budget(node_budget)
+    budget.spend()
+    if not has_interval_minor(A, B):
+        return None
     need = _need_masks(B)
 
     def sweep(fixed: list[int]) -> list[int] | None:
         budget.spend()
         return _sweep(A.ones, B, A.dims, fixed, need)
 
-    closes = sweep([])
-    if closes is None:
-        return None
+    # a one-axis B has no leading ends to fix: one sweep's closes are its ends
+    closes = sweep([]) if len(B.dims) == 1 else None
     fixed: list[int] = []
     for k in B.dims[:-1]:
         end = 0

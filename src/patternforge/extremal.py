@@ -301,14 +301,10 @@ def _line_object(path: Path, lineno: int, line: bytes) -> dict | None:
     return obj
 
 
-def _record_at(
-    cache_dir: str | Path, lineno: int, data: dict, tensors: dict | None = None
-) -> ExtremalRecord:
-    """The record on line `lineno`; with `tensors`, it shares each of its
-    tensors with the records read before it that store an equal one."""
+def _record_at(cache_dir: str | Path, lineno: int, data: dict, tensors: dict) -> ExtremalRecord:
+    """The record on line `lineno`, sharing each of its tensors with the
+    records read before it into `tensors` that store an equal one."""
     try:
-        if tensors is None:
-            return ExtremalRecord.from_json(data)
         return ExtremalRecord._from_json(data, tensors)
     except StructureError as exc:
         raise StructureError(f"{records_path(cache_dir)}:{lineno}: {exc}") from None
@@ -374,11 +370,12 @@ def _cached_lookup(
     pattern = tensor_to_json(P)
     exact = None
     seed = None
+    tensors: dict = {}
     for lineno, data in _parsed_lines(cfg.cache_dir, noted):
         got = (data.get("kind"), data.get("n"), data.get("d"), data.get("fingerprint"))
         if got != key or not _holds_pattern(data, pattern):
             continue
-        rec = _record_at(cfg.cache_dir, lineno, data)
+        rec = _record_at(cfg.cache_dir, lineno, data, tensors)
         if rec.status == "exact":
             exact = rec
         elif seed is None or rec.value > seed.value:

@@ -30,6 +30,7 @@ from typing import Iterator
 from .construct import _permutation_columns, _swap_bounds
 from .containment import _allones_decider
 from .errors import PreconditionError, RangeError, StructureError
+from .tensor import all_ones
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile, norm.ppf(0.995)
 
@@ -350,7 +351,7 @@ def avoid_probability(
         highs = _swap_bounds(k, d)
         part = [0] + [c * ell // k for c in range(k)]  # part[c] = (c-1)*ell//k
         first_axis_parts = part[1:]
-        decide = _allones_decider((ell,) * d, (k,) * d, k)
+        decide = _allones_decider(all_ones((ell,) * d), (k,) * d, k)
         bits = np.random.PCG64(0)  # every trial sets its own state
         rng = np.random.Generator(bits)
     for t, state in enumerate(_trial_states(seed, 0, drawn)):

@@ -891,9 +891,12 @@ def test_numpy_is_imported_only_by_commands_that_draw(files):
 import contextlib, io, json, sys
 import patternforge, patternforge.cli
 loaded = {"import": "numpy" in sys.modules}
-pattern, cache, mcache, estimate = sys.argv[1:]
+pattern, cache, mcache, estimate, identity = sys.argv[1:]
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
+    # the split misses and the pure sweep decides: 100 cut tuples x 202 steps
+    codes.append(patternforge.cli.main(["minor", "--a", identity, "--b", "allones:2,2"]))
+    loaded["minor"] = "numpy" in sys.modules
     for kind, target, where in (("f", pattern, cache), ("m", "allones:2,2", mcache)):
         for step in ("miss", "hit"):
             codes.append(patternforge.cli.main(
@@ -906,13 +909,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded["estimate"] = "numpy" in sys.modules
 print(json.dumps([loaded, codes]))
 """
+    identity = files["dir"] / "identity101.tsr"
+    identity.write_text(serialize_tensor(identity_permutation(101, 2).matrix))
     proc = python(code, files["p"], str(files["dir"] / "cache"), str(files["dir"] / "mcache"),
-                  json.dumps(ESTIMATE + ["--k", "6"]))
+                  json.dumps(ESTIMATE + ["--k", "6"]), str(identity))
     assert proc.returncode == 0, proc.stderr
     loaded, codes = json.loads(proc.stdout)
-    assert loaded == {"import": False, "f miss": False, "f hit": False, "m miss": False,
-                      "m hit": False, "m verify": False, "estimate": True}
-    assert codes == [0] * 6
+    assert loaded == {"import": False, "minor": False, "f miss": False, "f hit": False,
+                      "m miss": False, "m hit": False, "m verify": False, "estimate": True}
+    assert codes == [1] + [0] * 6
     # one record each: the first run searched and appended, the second hit it
     for cache in ("cache", "mcache"):
         assert (files["dir"] / cache / "records.jsonl").read_text().count("\n") == 1

@@ -1,7 +1,13 @@
 """Both containment deciders against literal-definition oracles."""
 
+import inspect
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -445,6 +451,19 @@ FROZEN_WITNESSES = [
 J3_K12_WITNESS = (((1, 3), (4, 7), (8, 10)), ((1, 6), (7, 9), (10, 12)))
 
 
+def least_budget(A, B):
+    """(least node_budget with which contains_interval_minor completes, the
+    witness's axes or None)."""
+    budget = 0
+    while True:
+        try:
+            W = contains_interval_minor(A, B, node_budget=budget)
+        except BudgetExceededError:
+            budget += 1
+            continue
+        return budget, None if W is None else W.axes
+
+
 class TestWitnessSearch:
     @pytest.mark.parametrize(
         "case", FROZEN_WITNESSES, ids=lambda c: "{}-k{}-d{}-t{}".format(*c[:4])
@@ -464,8 +483,8 @@ class TestWitnessSearch:
         assert W.axes == J3_K12_WITNESS
 
     def test_budget_counts_cut_sweeps(self):
-        # the deciding sweep, then 3 + 4 + 3 tries for the ends 3, 7, 10 of
-        # axis 1; the last try's closes are axis 2's ends
+        # the decision, then 3 + 4 + 3 tries for the ends 3, 7, 10 of axis
+        # 1; the last try's closes are axis 2's ends
         A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
         W = contains_interval_minor(A, all_ones((3, 3)), node_budget=11)
         assert W.axes == J3_K12_WITNESS
@@ -473,16 +492,49 @@ class TestWitnessSearch:
             contains_interval_minor(A, all_ones((3, 3)), node_budget=10)
 
     def test_small_host_decides_with_one_sweep(self):
-        # the split misses this host, which is small enough for the pure
-        # sweep: the counted deciding sweep is the only one with no prefix
+        # the split misses this host, and with numpy loaded its 55 cut
+        # tuples times (12 + 12) steps go to the numpy sweep, which decides
+        # once; every pure sweep after it fixes an end of a prefix
         A = random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix
         assert not containment._equal_split_hits(A.ones, (3, 3), A.dims)
-        with mock.patch.object(containment, "_sweep", wraps=containment._sweep) as spy:
+        with mock.patch.object(containment, "_sweep", wraps=containment._sweep) as spy, \
+                mock.patch.object(containment, "_allones_minor",
+                                  wraps=containment._allones_minor) as numpy_sweep:
             W = contains_interval_minor(A, all_ones((3, 3)))
         assert W.axes == J3_K12_WITNESS
+        assert numpy_sweep.call_count == 1
         prefixes = [call.args[3] if len(call.args) > 3 else () for call in spy.call_args_list]
-        assert len(prefixes) == 11
-        assert [len(p) for p in prefixes].count(0) == 1
+        assert len(prefixes) == 10
+        assert all(prefixes)
+
+    def test_node_counts_do_not_depend_on_loaded_numpy(self):
+        # this process has numpy loaded; a new interpreter that never loads
+        # it decides both hosts on the pure sweep, with the same counts
+        hosts = [
+            (random_permutation(12, 2, np.random.SeedSequence([1506, 0])).matrix, (3, 3)),
+            (identity_permutation(101, 2).matrix, (2, 2)),
+        ]
+        want = [(11, J3_K12_WITNESS), (1, None)]
+        assert [least_budget(A, all_ones(ks)) for A, ks in hosts] == want
+        code = (
+            "import json, sys\n"
+            "from patternforge.containment import contains_interval_minor\n"
+            "from patternforge.errors import BudgetExceededError\n"
+            "from patternforge.tensor import TensorMatrix, all_ones\n"
+            + inspect.getsource(least_budget)
+            + "got = [least_budget(TensorMatrix(dims, map(tuple, ones)), all_ones(ks))\n"
+            "       for dims, ones, ks in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([got, 'numpy' in sys.modules]))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        arg = json.dumps([[A.dims, sorted(A.ones), ks] for A, ks in hosts])
+        proc = subprocess.run([sys.executable, "-c", code, arg], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == json.dumps([want, False])
 
     def test_small_host_without_the_minor_spends_one_node(self):
         # the split misses, and on a host this small the counted deciding

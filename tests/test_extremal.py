@@ -364,14 +364,14 @@ class TestCache:
             else:
                 append_record(tmp_path, _stand_in_record(
                     "f", 3, IDENTITY2, i % 10, "lower-bound-only", fingerprint=f"{i:016x}"))
-        build = ExtremalRecord.from_json.__func__
+        build = ExtremalRecord._from_json.__func__
         calls = []
 
-        def counting(cls, data):
+        def counting(cls, data, tensors):
             calls.append(data)
-            return build(cls, data)
+            return build(cls, data, tensors)
 
-        monkeypatch.setattr(ExtremalRecord, "from_json", classmethod(counting))
+        monkeypatch.setattr(ExtremalRecord, "_from_json", classmethod(counting))
         assert max_ones_avoiding(2, IDENTITY2, SearchConfig(cache_dir=tmp_path)) == hit
         assert len(calls) == 1
 
