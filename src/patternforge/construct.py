@@ -53,19 +53,17 @@ def _swap_bounds(k: int, d: int) -> np.ndarray:
         raise RangeError(f"side k too large to shuffle ({exc})") from None
 
 
-def _permutation_columns(
-    k: int, d: int, rng: np.random.Generator, highs: np.ndarray
-) -> list[list[int]]:
+def _permutation_columns(k: int, d: int, swaps: list[int]) -> list[list[int]]:
     """Coordinates on axes 2..d of the ones of a random permutation matrix of
     side k, ordered by the first coordinate: d-1 Fisher-Yates shuffles of
-    1..k, one after another from `rng`.
+    1..k, one after another.
 
-    The swap partner of every i = k-1 .. 1, drawn from [0, i], comes for all
-    d-1 axes from one call bounded by `highs`, which is `_swap_bounds(k, d)`;
-    numpy draws each bounded element from the generator's stream in turn, so
-    the one call draws what d-1 calls would.
+    `swaps` holds the swap partner of every i = k-1 .. 1, drawn from [0, i],
+    for each axis in turn: what `Generator.integers(0, _swap_bounds(k, d))`
+    draws, element by element from the generator's stream, so that one call
+    draws what d-1 calls would.
     """
-    swaps = iter(rng.integers(0, highs).tolist())
+    swaps = iter(swaps)
     cols = []
     for _ in range(d - 1):
         perm = list(range(1, k + 1))
@@ -92,8 +90,8 @@ def random_permutation(
         if seed < 0:
             raise RangeError(f"need seed >= 0, got {seed}")
         seed = np.random.SeedSequence(seed)
-    cols = _permutation_columns(k, d, np.random.default_rng(seed), _swap_bounds(k, d))
-    ones = list(zip(range(1, k + 1), *cols))
+    swaps = np.random.default_rng(seed).integers(0, _swap_bounds(k, d)).tolist()
+    ones = list(zip(range(1, k + 1), *_permutation_columns(k, d, swaps)))
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 
 

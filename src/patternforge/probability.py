@@ -8,11 +8,14 @@ threshold the avoidance probability drops below 1/ell; the chain of four
 expressions in `probability_chain` is the closed-form route to that bound,
 and `avoid_probability` measures the event directly by seeded sampling.
 The bound rests on the paper's equal split: a permutation whose split into
-ell^d equal blocks hits every block contains the pattern.  A trial draws
-the permutation as columns from one generator per estimate, set to the
-trial's seeded start state, reads the block of each 1 off them in a table
-built once per estimate, and builds the ones for the exact decider only
-when the split misses a block; the misses are reported as
+ell^d equal blocks hits every block contains the pattern.  A trial
+shuffles the permutation's columns from the swap partners that numpy's
+`Generator.integers` would draw from PCG64 seeded with `SeedSequence([seed,
+t])`; this module computes them itself, seeding, stream and bounded draws,
+in one numpy array pass per chunk of trials, and never loads
+`numpy.random`.  The trial reads the block of each 1 off the columns in a
+table built once per estimate, and builds the ones for the exact decider
+only when the split misses a block; the misses are reported as
 `equal_split_misses`, the event the union bound bounds.
 `probability_chain` compares floats; only `ChainReport.final_bound_exact` and
 `ratio_lower_bound` are exact rationals (Fraction).
@@ -23,9 +26,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .construct import _permutation_columns, _swap_bounds
 from .containment import _allones_decider
@@ -177,7 +180,8 @@ class EstimateReport:
             raise StructureError("estimate outside [0, 1]")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # every field is a number, so a flat copy is what asdict would build
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -198,14 +202,25 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_MASK32 = 0xFFFFFFFF
+# the multiplier is 1 mod 4, so mult**j = 4 * a_j + 1 for an integer a_j, and
+# j steps take a state s with increment inc to a_j * w + s, modulo 2**128,
+# where w = 4 * s + inc * _INC_FACTOR and _INC_FACTOR inverts (mult - 1) / 4
+_INC_FACTOR = pow((_PCG64_MULT - 1) >> 2, -1, 1 << 128)
 # trials whose start states one numpy pass computes; a power of two up to
 # 2**32, so that the words of t above the lowest stay fixed within a chunk
 _STATE_CHUNK = 1024
+# 64-bit outputs a chunk of draws holds at once, summed over its trials; a
+# trial that needs more has a chunk of its own, and a redraw takes this many
+# draws at a time
+_CHUNK_WORDS = 1 << 16
 
 
-def _trial_states(seed: int, start: int, stop: int) -> Iterator[dict]:
-    """The `state` of `PCG64(SeedSequence([seed, t]))` for t = start .. stop-1,
-    computed in one vectorised numpy pass per chunk of `_STATE_CHUNK` trials.
+def _trial_states(seed: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """The (state, inc) of `PCG64(SeedSequence([seed, t]))` for t = start ..
+    stop-1, computed in one vectorised numpy pass per chunk of `_STATE_CHUNK`
+    trials.
 
     SeedSequence reads [seed, t] as the entropy words `_uint32_words(seed) +
     _uint32_words(t)`, so a chunk's words differ in the lowest word of t only.
@@ -256,9 +271,9 @@ def _hash_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
-    """`PCG64(SeedSequence(words)).state` for the uint32 entropy words of
-    each column of `entropy`, one column per seed.
+def _pcg64_states(entropy: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The (state, inc) of `PCG64(SeedSequence(words))` for the uint32
+    entropy words of each column of `entropy`, one column per seed.
 
     This is numpy's SeedSequence with its pool of four words, one row per
     word and one column per seed.  Hash call c of a chain xors its value
@@ -299,9 +314,180 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[dict]:
     words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
     for a, b, c, e in zip(*words):
         inc = ((c << 64 | e) << 1 | 1) & _MASK128
-        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+        yield (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _xsl_rr(state: int) -> int:
+    """PCG64's output for a state: the xor of its two 64-bit halves, rotated
+    right by the top six bits."""
+    high = state >> 64
+    x = (high ^ state) & _MASK64
+    rot = high >> 58
+    return (x >> rot | x << (64 - rot)) & _MASK64
+
+
+def _words64(values: Iterable[int]) -> np.ndarray:
+    """The 64-bit words of integers below 2**128, low word first."""
+    import numpy as np
+
+    return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), "<u8")
+
+
+def _halves(x: int) -> int:
+    """The two 32-bit halves of the low word of x as the two words of a
+    128-bit integer, low half first."""
+    return (x & 0xFFFFFFFF00000000) << 32 | x & _MASK32
+
+
+def _jumped_outputs(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """PCG64's output from state a_r * w + s, modulo 2**128, for every row
+    (s, w) and column a_r.
+
+    Each row of `rows` holds the 64-bit words s low, s high, w low, w high
+    and the two 32-bit halves of w low; the four rows of `table` hold a low,
+    a high and the two halves of a low for each column.  The product keeps
+    its low 128 bits: the full product of the low words, whose high word is
+    built from 32-bit halves, plus the cross products in the high word.
+    Every step runs in place in four buffers.
+    """
+    import numpy as np
+
+    s_lo, s_hi, w_lo, w_hi, b0, b1 = rows.T[:, :, None]
+    a_lo, a_hi, a0, a1 = table
+    x, y, z, hi = np.empty((4, len(rows), len(a_lo)), np.uint64)
+    np.multiply(a0, b0, out=x)
+    x >>= 32
+    np.multiply(a1, b0, out=y)
+    y += x
+    np.bitwise_and(y, _MASK32, out=x)
+    np.multiply(a0, b1, out=z)
+    z += x
+    np.multiply(a1, b1, out=hi)
+    y >>= 32
+    hi += y
+    z >>= 32
+    hi += z
+    np.multiply(a_hi, w_lo, out=x)
+    hi += x
+    np.multiply(a_lo, w_hi, out=x)
+    hi += x
+    lo = np.multiply(a_lo, w_lo, out=y)
+    lo += s_lo
+    hi += s_hi
+    hi += lo < s_lo  # the carry
+    # XSL-RR: lo becomes the output
+    lo ^= hi
+    hi >>= 58
+    np.right_shift(lo, hi, out=x)
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    lo <<= hi
+    lo |= x
+    return lo
+
+
+def _rejected(low: np.ndarray, bounds: np.ndarray) -> int | None:
+    """The first i where Lemire's method rejects the low half low[i] of a
+    word times bounds[i]: where it falls below 2**32 mod bounds[i], and so
+    below bounds[i], which is rare."""
+    import numpy as np
+
+    for i in np.flatnonzero(low < bounds).tolist():
+        if int(low[i]) < (1 << 32) % int(bounds[i]):
+            return i
+    return None
+
+
+def _redrawn(words: np.ndarray, bounds: np.ndarray, done: int, state: int, inc: int) -> list[int]:
+    """Lemire's bounded draws from draw `done` on, where that draw has just
+    rejected word `done` of the stream of PCG64 from `state` and `inc`,
+    whose first 32-bit words are `words`.  Draw i takes the next word and
+    gives the high half of its product with bounds[i], or rejects it and
+    takes the next.  The draws go `_CHUNK_WORDS` at a time, and a
+    rejection ends a window there."""
+    import numpy as np
+
+    # past `words`, a stepper goes on from the state after their outputs
+    a = pow(_PCG64_MULT, len(words) // 2, 1 << 130) >> 2
+    state = (a * (4 * state + inc * _INC_FACTOR) + state) & _MASK128
+    swaps: list[int] = []
+    used = done + 1
+    while done < len(bounds):
+        stop = min(len(bounds), done + _CHUNK_WORDS)
+        need = used + stop - done
+        extra = []
+        while len(words) + len(extra) < need:
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            out = _xsl_rr(state)
+            extra += (out & _MASK32, out >> 32)
+        if extra:
+            words = np.concatenate((words, np.array(extra, words.dtype)))
+        m = words[used:need] * bounds[done:stop]
+        rejected = _rejected(m & _MASK32, bounds[done:stop])
+        taken = stop - done if rejected is None else rejected
+        swaps += (m[:taken] >> 32).tolist()
+        done += taken
+        used += taken + (rejected is not None)
+    return swaps
+
+
+def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int]]:
+    """What `Generator(PCG64(SeedSequence([seed, t]))).integers(0, highs)`
+    draws, as a list, for t = 0 .. trials-1 and highs of at most 2**32.
+
+    Each bounded draw reads one 32-bit word of the generator's stream (the
+    low half of each 64-bit output, then its high half) and, by Lemire's
+    method, multiplies it by its bound: the high half of the product is the
+    draw, unless the low half falls below 2**32 mod bound, when the draw
+    rejects the word and reads the next.  The draws run in chunks of at
+    most `_STATE_CHUNK` trials and `_CHUNK_WORDS` outputs (but always one
+    trial), each in one numpy pass that assumes no rejection: output j of a
+    trial comes from state a_j * w + s (see `_INC_FACTOR`), with j = q *
+    width + r, where the state and w after q * width steps come from Python
+    integers per trial and a table of a_1 .. a_width, built once per
+    estimate, takes numpy the other r steps.  A trial with a rejection is
+    redrawn exactly by `_redrawn` from that draw on, from the same words
+    and, past them, a PCG64 stepper on Python integers.
+    """
+    import numpy as np
+
+    bounds = highs.astype(np.uint64)
+    draws = len(bounds)
+    outputs = max(1, (draws + 1) // 2)  # k = 1 draws nothing, yet gets one
+    per_chunk = min(_STATE_CHUNK, max(1, _CHUNK_WORDS // outputs), trials)
+    # the table costs one Python step per column once, the rows one per row
+    # of every trial: about sqrt(trials * outputs) columns balance the two
+    steps = -(-outputs // max(1, min(outputs, math.isqrt(trials * outputs))))
+    width = -(-outputs // steps)
+    powers, p = [], 1
+    for _ in range(width):
+        p = p * _PCG64_MULT & (_MASK128 << 2 | 3)  # mult**r modulo 2**130
+        powers.append(p >> 2)
+    jump_a, jump_w = powers[-1], p & _MASK128
+    table = _words64(v for a in powers for v in (a, _halves(a))).reshape(-1, 4).T
+    states = _trial_states(seed, 0, trials)
+    while chunk := list(itertools.islice(states, per_chunk)):
+        rows = []
+        for state, inc in chunk:
+            w = (4 * state + inc * _INC_FACTOR) & _MASK128
+            rows += (state, w, _halves(w))
+            for _ in range(steps - 1):
+                state = (jump_a * w + state) & _MASK128
+                w = jump_w * w & _MASK128
+                rows += (state, w, _halves(w))
+        out = _jumped_outputs(_words64(rows).reshape(-1, 6), table)
+        # the 32-bit words of each trial's stream, the low half of an output first
+        words = np.asarray(out, "<u8").view("<u4").reshape(len(chunk), -1)
+        m = words[:, :draws] * bounds
+        low = m & _MASK32
+        unsure = (low < bounds).any(axis=1).tolist()
+        m >>= 32
+        for i, (state, inc) in enumerate(chunk):
+            rejected = _rejected(low[i], bounds) if unsure[i] else None
+            if rejected is None:
+                yield m[i].tolist()
+            else:
+                yield m[i, :rejected].tolist() + _redrawn(words[i], bounds, rejected, state, inc)
 
 
 def avoid_probability(
@@ -318,18 +504,17 @@ def avoid_probability(
     (seed, t) and draws the same permutation as `random_permutation(k, d,
     SeedSequence([seed, t]))`, as d-1 columns, each checked to be a
     permutation.  What depends only on (k, ell, d, seed) is built once per
-    estimate: the swap bounds of the shuffles, the table of the part of
+    estimate: the swap bounds of the shuffles and the table of the part of
     the equal split each coordinate falls in (every axis has extent k and
-    ell parts), and one PCG64 generator.  The generator's start state for
-    every trial comes from `_trial_states`, one numpy pass per chunk of
-    trials, and is set before the trial draws; `Generator.integers` makes
-    every bounded draw.  A trial looks up the block of each of its ones in
-    the table; one whose split hits every block contains the pattern.  Only
-    a trial whose split misses a block, counted in `equal_split_misses`,
-    builds its set of ones for the exact sweep that `_allones_decider`
-    picks.  With k < ell^d there are fewer ones than blocks, so every trial
-    avoids and misses, and none is drawn.  Each trial is decided exactly,
-    so `undecided` is 0.
+    ell parts).  The swap partners of every trial come from `_trial_swaps`,
+    which computes PCG64's stream and numpy's bounded draws itself, in one
+    numpy pass per chunk of trials, so numpy's generator is never built.  A
+    trial looks up the block of each of its ones in the table; one whose
+    split hits every block contains the pattern.  Only a trial whose split
+    misses a block, counted in `equal_split_misses`, builds its set of ones
+    for the exact sweep that `_allones_decider` picks.  With k < ell^d
+    there are fewer ones than blocks, so every trial avoids and misses, and
+    none is drawn.  Each trial is decided exactly, so `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -343,20 +528,18 @@ def avoid_probability(
     # fewer ones than blocks: every trial avoids and misses, and none is drawn
     drawn = trials if k >= blocks else 0
     avoid_count = misses = trials - drawn
+    draws: Iterator[list[int]] = iter(())
     if drawn:
-        import numpy as np
-
         # first, so that a side too large to shuffle is refused before
-        # anything of size k is built
-        highs = _swap_bounds(k, d)
+        # anything of size k is built; the draws read 32-bit words
+        if k > 2**32:
+            raise RangeError(f"side k too large to shuffle (k > 2**32, got {k})")
+        draws = _trial_swaps(seed, drawn, _swap_bounds(k, d))
         part = [0] + [c * ell // k for c in range(k)]  # part[c] = (c-1)*ell//k
         first_axis_parts = part[1:]
         decide = _allones_decider(all_ones((ell,) * d), (k,) * d, k)
-        bits = np.random.PCG64(0)  # every trial sets its own state
-        rng = np.random.Generator(bits)
-    for t, state in enumerate(_trial_states(seed, 0, drawn)):
-        bits.state = state
-        cols = _permutation_columns(k, d, rng, highs)
+    for t, swaps in enumerate(draws):
+        cols = _permutation_columns(k, d, swaps)
         for axis, col in enumerate(cols, start=2):
             if len(set(col)) != k:
                 raise StructureError(f"axis {axis}: trial {t} drew no permutation")

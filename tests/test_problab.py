@@ -129,6 +129,20 @@ class TestProbabilityChain:
             probability_chain(10, 2, 1)
 
 
+class SpyRedrawn:
+    """Records the draw each call of `probability._redrawn` starts from."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        redrawn = probability._redrawn
+
+        def spy(words, bounds, done, state, inc):
+            self.calls.append(done)
+            return redrawn(words, bounds, done, state, inc)
+
+        monkeypatch.setattr(probability, "_redrawn", spy)
+
+
 class TestAvoidProbability:
     def test_pigeonhole_anchor_is_exactly_one(self):
         rep = avoid_probability(2, 2, 2, trials=100, seed=7)
@@ -176,6 +190,15 @@ class TestAvoidProbability:
         code = "import sys, patternforge; print('scipy.stats' in sys.modules)"
         assert self.fresh_output(code) == "False"
 
+    def test_estimate_with_draws_leaves_numpy_random_unloaded(self):
+        code = (
+            "import sys; from patternforge.cli import main; "
+            "main(['prob', 'estimate', '--k', '34', '--ell', '2', '--d', '2', "
+            "'--trials', '5', '--seed', '1', '--format', 'json']); "
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+        )
+        assert self.fresh_output(code).splitlines()[-1] == "True False"
+
     def test_estimate_without_draws_leaves_numpy_unloaded(self):
         # k < ell^d: every trial avoids, and none is drawn or seeded
         code = (
@@ -217,24 +240,65 @@ class TestAvoidProbability:
         # a chunk begins at `chunk` and at 2**32, where t gains a second word
         for start, stop in [(0, 3), (chunk - 2, chunk + 2), (2**32 - 2, 2**32 + 2)]:
             got = list(probability._trial_states(seed, start, stop))
-            want = [
-                np.random.PCG64(np.random.SeedSequence([seed, t])).state
-                for t in range(start, stop)
-            ]
+            want = []
+            for t in range(start, stop):
+                state = np.random.PCG64(np.random.SeedSequence([seed, t])).state["state"]
+                want.append((state["state"], state["inc"]))
             assert got == want, (seed, start)
 
+    @staticmethod
+    def numpy_draws(seed: int, t: int, highs) -> list[int]:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        return rng.integers(0, highs).tolist()
+
     def test_trial_columns_across_chunk_edges(self, monkeypatch):
-        # one generator serves every trial; a state set on it must leave
-        # nothing of the trial before, within a chunk or across an edge
+        # the chunks' words and the trials' rows must not bleed into each
+        # other, within a chunk or across an edge
         monkeypatch.setattr(probability, "_STATE_CHUNK", 4)
         k, d, seed = 9, 3, 2**40 + 7
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        for t, state in enumerate(probability._trial_states(seed, 0, 11)):
-            bits.state = state
-            cols = _permutation_columns(k, d, rng, _swap_bounds(k, d))
+        swaps = probability._trial_swaps(seed, 11, _swap_bounds(k, d))
+        for t, trial in enumerate(swaps):
+            cols = _permutation_columns(k, d, trial)
             want = random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix
             assert sorted(zip(range(1, k + 1), *cols)) == sorted(want.ones), t
+
+    @pytest.mark.parametrize("k, d", [(1, 2), (2, 3), (34, 2), (178, 3), (7, 4)])
+    def test_trial_swaps_are_numpy_draws(self, k, d):
+        highs = _swap_bounds(k, d)
+        got = list(probability._trial_swaps(2026, 7, highs))
+        assert got == [self.numpy_draws(2026, t, highs) for t in range(7)]
+
+    def test_rejections_redrawn_past_the_words_of_a_pass(self, monkeypatch):
+        # a bound of 3 * 2**30 rejects a quarter of the words, and 2**32 and
+        # 2**32 - 1 are the edges of the 32-bit draw; the redraws run past the
+        # words one pass computed, and in windows of a few draws
+        highs = np.array([3 * 2**30, 2**32, 2**32 - 1, 3 * 2**30 + 1, 5] * 60)
+        spy = SpyRedrawn(monkeypatch)
+        monkeypatch.setattr(probability, "_CHUNK_WORDS", 7)
+        got = list(probability._trial_swaps(9, 6, highs))
+        assert got == [self.numpy_draws(9, t, highs) for t in range(6)]
+        assert len(spy.calls) == 6
+
+    @pytest.mark.parametrize("k, d, trials", [(100_000, 2, 4), (60_000, 3, 2)])
+    def test_trials_with_common_rejections_match_random_permutation(self, k, d, trials, monkeypatch):
+        # 0.58 and 0.42 rejections a trial on average: 2**32 mod bound summed
+        # over the bounds, over 2**32
+        spy = SpyRedrawn(monkeypatch)
+        seed = 17
+        for t, swaps in enumerate(probability._trial_swaps(seed, trials, _swap_bounds(k, d))):
+            want = random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix
+            cols = _permutation_columns(k, d, swaps)
+            assert sorted(zip(range(1, k + 1), *cols)) == sorted(want.ones), t
+        assert spy.calls, "no trial had a rejection"
+
+    def test_small_word_bound_leaves_estimates_alone(self, monkeypatch):
+        # one trial per chunk, then also two trials per seeding pass
+        points = [(34, 2, 2, 30, 11), (20, 2, 3, 30, 2026), (9, 3, 2, 30, 3)]
+        want = [avoid_probability(*point) for point in points]
+        monkeypatch.setattr(probability, "_CHUNK_WORDS", 3)
+        assert [avoid_probability(*point) for point in points] == want
+        monkeypatch.setattr(probability, "_STATE_CHUNK", 2)
+        assert [avoid_probability(*point) for point in points] == want
 
     def test_estimate_across_a_chunk_edge_matches_matrix_path(self):
         k, ell, d, seed = 5, 2, 2, 31
@@ -304,7 +368,8 @@ class TestAvoidProbability:
         avoids = misses = 0
         for t in range(5):
             ss = np.random.SeedSequence([seed, t])
-            cols = _permutation_columns(k, d, np.random.default_rng(ss), _swap_bounds(k, d))
+            swaps = np.random.default_rng(ss).integers(0, _swap_bounds(k, d)).tolist()
+            cols = _permutation_columns(k, d, swaps)
             A = random_permutation(k, d, ss).matrix
             assert sorted(zip(range(1, k + 1), *cols)) == sorted(A.ones)
             blocks = {tuple((c - 1) * ell // k for c in one) for one in A.ones}
