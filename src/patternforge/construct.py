@@ -74,6 +74,17 @@ def _permutation_columns(k: int, d: int, swaps: list[int]) -> list[list[int]]:
     return cols
 
 
+def _generator_swaps(
+    seed: int | list[int] | np.random.SeedSequence, highs: np.ndarray
+) -> list[int]:
+    """What `Generator(PCG64(SeedSequence(seed))).integers(0, highs)` draws:
+    the one place numpy's generator is built, for `random_permutation` and
+    for a Monte Carlo trial whose words the batch pass cannot use."""
+    import numpy as np
+
+    return np.random.default_rng(seed).integers(0, highs).tolist()
+
+
 def random_permutation(
     k: int, d: int, seed: int | np.random.SeedSequence
 ) -> PermutationTensor:
@@ -89,8 +100,7 @@ def random_permutation(
         seed = int(seed)
         if seed < 0:
             raise RangeError(f"need seed >= 0, got {seed}")
-        seed = np.random.SeedSequence(seed)
-    swaps = np.random.default_rng(seed).integers(0, _swap_bounds(k, d)).tolist()
+    swaps = _generator_swaps(seed, _swap_bounds(k, d))
     ones = list(zip(range(1, k + 1), *_permutation_columns(k, d, swaps)))
     return PermutationTensor(TensorMatrix((k,) * d, ones))
 

@@ -623,13 +623,18 @@ def _sweep(
     return None
 
 
+def _split_part(c: int, k: int, n: int) -> int:
+    """The part of coordinate c under the paper's equal split of an axis of
+    extent n into k parts, numbered from 0."""
+    return (c - 1) * k // n
+
+
 def _equal_split_hits(
     ones: Iterable[Coord], ks: tuple[int, ...], dims: tuple[int, ...]
 ) -> bool:
     """Whether the paper's equal split of a matrix of extents `dims` into
     parts `ks` has a 1 from `ones` in every block.
 
-    Coordinate c of an axis of extent n goes to part floor((c-1)*k/n) of k.
     When every block is hit the split is a witness that the all-ones pattern
     of extents `ks` is an interval minor; with k > n some part is empty, so
     the split never claims a false True.  `ones` is read only until every
@@ -638,7 +643,7 @@ def _equal_split_hits(
     want = math.prod(ks)
     blocks = set()
     for one in ones:
-        blocks.add(tuple((c - 1) * k // n for c, k, n in zip(one, ks, dims)))
+        blocks.add(tuple(map(_split_part, one, ks, dims)))
         if len(blocks) == want:
             return True
     return False

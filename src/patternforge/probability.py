@@ -12,11 +12,12 @@ ell^d equal blocks hits every block contains the pattern.  A trial
 shuffles the permutation's columns from the swap partners that numpy's
 `Generator.integers` would draw from PCG64 seeded with `SeedSequence([seed,
 t])`; this module computes them itself, seeding, stream and bounded draws,
-in one numpy array pass per chunk of trials, and never loads
-`numpy.random`.  The trial reads the block of each 1 off the columns in a
-table built once per estimate, and builds the ones for the exact decider
-only when the split misses a block; the misses are reported as
-`equal_split_misses`, the event the union bound bounds.
+in one numpy array pass per chunk of trials.  Only a trial in which a draw
+rejects its word is drawn by numpy's generator, so `numpy.random` is loaded
+only by an estimate that has such a trial.  The trial reads the block of
+each 1 off the columns in a table built once per estimate, and builds the
+ones for the exact decider only when the split misses a block; the misses
+are reported as `equal_split_misses`, the event the union bound bounds.
 `probability_chain` compares floats; only `ChainReport.final_bound_exact` and
 `ratio_lower_bound` are exact rationals (Fraction).
 """
@@ -30,8 +31,8 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .construct import _permutation_columns, _swap_bounds
-from .containment import _allones_decider
+from .construct import _generator_swaps, _permutation_columns, _swap_bounds
+from .containment import _allones_decider, _split_part
 from .errors import PreconditionError, RangeError, StructureError
 from .tensor import all_ones
 
@@ -202,7 +203,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-_MASK64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
 # the multiplier is 1 mod 4, so mult**j = 4 * a_j + 1 for an integer a_j, and
 # j steps take a state s with increment inc to a_j * w + s, modulo 2**128,
@@ -212,8 +212,7 @@ _INC_FACTOR = pow((_PCG64_MULT - 1) >> 2, -1, 1 << 128)
 # 2**32, so that the words of t above the lowest stay fixed within a chunk
 _STATE_CHUNK = 1024
 # 64-bit outputs a chunk of draws holds at once, summed over its trials; a
-# trial that needs more has a chunk of its own, and a redraw takes this many
-# draws at a time
+# trial that needs more has a chunk of its own
 _CHUNK_WORDS = 1 << 16
 
 
@@ -317,15 +316,6 @@ def _pcg64_states(entropy: np.ndarray) -> Iterator[tuple[int, int]]:
         yield (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _xsl_rr(state: int) -> int:
-    """PCG64's output for a state: the xor of its two 64-bit halves, rotated
-    right by the top six bits."""
-    high = state >> 64
-    x = (high ^ state) & _MASK64
-    rot = high >> 58
-    return (x >> rot | x << (64 - rot)) & _MASK64
-
-
 def _words64(values: Iterable[int]) -> np.ndarray:
     """The 64-bit words of integers below 2**128, low word first."""
     import numpy as np
@@ -386,51 +376,6 @@ def _jumped_outputs(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _rejected(low: np.ndarray, bounds: np.ndarray) -> int | None:
-    """The first i where Lemire's method rejects the low half low[i] of a
-    word times bounds[i]: where it falls below 2**32 mod bounds[i], and so
-    below bounds[i], which is rare."""
-    import numpy as np
-
-    for i in np.flatnonzero(low < bounds).tolist():
-        if int(low[i]) < (1 << 32) % int(bounds[i]):
-            return i
-    return None
-
-
-def _redrawn(words: np.ndarray, bounds: np.ndarray, done: int, state: int, inc: int) -> list[int]:
-    """Lemire's bounded draws from draw `done` on, where that draw has just
-    rejected word `done` of the stream of PCG64 from `state` and `inc`,
-    whose first 32-bit words are `words`.  Draw i takes the next word and
-    gives the high half of its product with bounds[i], or rejects it and
-    takes the next.  The draws go `_CHUNK_WORDS` at a time, and a
-    rejection ends a window there."""
-    import numpy as np
-
-    # past `words`, a stepper goes on from the state after their outputs
-    a = pow(_PCG64_MULT, len(words) // 2, 1 << 130) >> 2
-    state = (a * (4 * state + inc * _INC_FACTOR) + state) & _MASK128
-    swaps: list[int] = []
-    used = done + 1
-    while done < len(bounds):
-        stop = min(len(bounds), done + _CHUNK_WORDS)
-        need = used + stop - done
-        extra = []
-        while len(words) + len(extra) < need:
-            state = (state * _PCG64_MULT + inc) & _MASK128
-            out = _xsl_rr(state)
-            extra += (out & _MASK32, out >> 32)
-        if extra:
-            words = np.concatenate((words, np.array(extra, words.dtype)))
-        m = words[used:need] * bounds[done:stop]
-        rejected = _rejected(m & _MASK32, bounds[done:stop])
-        taken = stop - done if rejected is None else rejected
-        swaps += (m[:taken] >> 32).tolist()
-        done += taken
-        used += taken + (rejected is not None)
-    return swaps
-
-
 def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int]]:
     """What `Generator(PCG64(SeedSequence([seed, t]))).integers(0, highs)`
     draws, as a list, for t = 0 .. trials-1 and highs of at most 2**32.
@@ -445,13 +390,17 @@ def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int
     trial comes from state a_j * w + s (see `_INC_FACTOR`), with j = q *
     width + r, where the state and w after q * width steps come from Python
     integers per trial and a table of a_1 .. a_width, built once per
-    estimate, takes numpy the other r steps.  A trial with a rejection is
-    redrawn exactly by `_redrawn` from that draw on, from the same words
-    and, past them, a PCG64 stepper on Python integers.
+    estimate, takes numpy the other r steps.  Up to a trial's first
+    rejection the pass reads the right words, so the trial has a rejection
+    exactly when the pass finds one; such a trial, about one in eight at
+    (28392, 4, 4) and almost none below k = 1,000, is drawn again by
+    `_generator_swaps`.
     """
     import numpy as np
 
     bounds = highs.astype(np.uint64)
+    # Lemire's method rejects a word whose low half falls below these
+    rejects = np.uint64(1 << 32) % bounds
     draws = len(bounds)
     outputs = max(1, (draws + 1) // 2)  # k = 1 draws nothing, yet gets one
     per_chunk = min(_STATE_CHUNK, max(1, _CHUNK_WORDS // outputs), trials)
@@ -466,6 +415,7 @@ def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int
     jump_a, jump_w = powers[-1], p & _MASK128
     table = _words64(v for a in powers for v in (a, _halves(a))).reshape(-1, 4).T
     states = _trial_states(seed, 0, trials)
+    done = 0
     while chunk := list(itertools.islice(states, per_chunk)):
         rows = []
         for state, inc in chunk:
@@ -479,15 +429,11 @@ def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int
         # the 32-bit words of each trial's stream, the low half of an output first
         words = np.asarray(out, "<u8").view("<u4").reshape(len(chunk), -1)
         m = words[:, :draws] * bounds
-        low = m & _MASK32
-        unsure = (low < bounds).any(axis=1).tolist()
+        rejected = ((m & _MASK32) < rejects).any(axis=1).tolist()
         m >>= 32
-        for i, (state, inc) in enumerate(chunk):
-            rejected = _rejected(low[i], bounds) if unsure[i] else None
-            if rejected is None:
-                yield m[i].tolist()
-            else:
-                yield m[i, :rejected].tolist() + _redrawn(words[i], bounds, rejected, state, inc)
+        for i, redraw in enumerate(rejected):
+            yield _generator_swaps([seed, done + i], highs) if redraw else m[i].tolist()
+        done += len(chunk)
 
 
 def avoid_probability(
@@ -502,19 +448,20 @@ def avoid_probability(
 
     Trials run one after another on one thread; trial t uses the seed stream
     (seed, t) and draws the same permutation as `random_permutation(k, d,
-    SeedSequence([seed, t]))`, as d-1 columns, each checked to be a
-    permutation.  What depends only on (k, ell, d, seed) is built once per
-    estimate: the swap bounds of the shuffles and the table of the part of
-    the equal split each coordinate falls in (every axis has extent k and
-    ell parts).  The swap partners of every trial come from `_trial_swaps`,
-    which computes PCG64's stream and numpy's bounded draws itself, in one
-    numpy pass per chunk of trials, so numpy's generator is never built.  A
-    trial looks up the block of each of its ones in the table; one whose
-    split hits every block contains the pattern.  Only a trial whose split
-    misses a block, counted in `equal_split_misses`, builds its set of ones
-    for the exact sweep that `_allones_decider` picks.  With k < ell^d
-    there are fewer ones than blocks, so every trial avoids and misses, and
-    none is drawn.  Each trial is decided exactly, so `undecided` is 0.
+    SeedSequence([seed, t]))`, as d-1 columns.  What depends only on (k,
+    ell, d, seed) is built once per estimate: the swap bounds of the
+    shuffles and the table of the part of the equal split each coordinate
+    falls in (every axis has extent k and ell parts, from `_split_part`).
+    The swap partners of every trial come from `_trial_swaps`, which
+    computes PCG64's stream and numpy's bounded draws itself, in one numpy
+    pass per chunk of trials, and builds numpy's generator only for a trial
+    in which a draw rejects its word.  A trial looks up the block of each of
+    its ones in the table; one whose split hits every block contains the
+    pattern.  Only a trial whose split misses a block, counted in
+    `equal_split_misses`, builds its set of ones for the exact sweep that
+    `_allones_decider` picks.  With k < ell^d there are fewer ones than
+    blocks, so every trial avoids and misses, and none is drawn.  Each trial
+    is decided exactly, so `undecided` is 0.
     """
     if trials < 1:
         raise PreconditionError(f"need trials >= 1, got {trials}")
@@ -535,14 +482,11 @@ def avoid_probability(
         if k > 2**32:
             raise RangeError(f"side k too large to shuffle (k > 2**32, got {k})")
         draws = _trial_swaps(seed, drawn, _swap_bounds(k, d))
-        part = [0] + [c * ell // k for c in range(k)]  # part[c] = (c-1)*ell//k
-        first_axis_parts = part[1:]
+        first_axis_parts = [_split_part(c, ell, k) for c in range(1, k + 1)]
+        part = [0] + first_axis_parts  # part[c] is the part of coordinate c
         decide = _allones_decider(all_ones((ell,) * d), (k,) * d, k)
-    for t, swaps in enumerate(draws):
+    for swaps in draws:
         cols = _permutation_columns(k, d, swaps)
-        for axis, col in enumerate(cols, start=2):
-            if len(set(col)) != k:
-                raise StructureError(f"axis {axis}: trial {t} drew no permutation")
         hit_blocks = set(zip(first_axis_parts, *(map(part.__getitem__, col) for col in cols)))
         if len(hit_blocks) == blocks:
             continue

@@ -5,11 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import patternforge.construct as construct
 from patternforge.construct import (
     CornerReduction,
+    _permutation_columns,
     blowup_avoider,
     corner_reduce,
     identity_permutation,
@@ -67,6 +69,18 @@ class TestRandomPermutation:
             P = random_permutation(k, d, np.random.SeedSequence([1506, t]))
             h.update(repr(sorted(P.matrix.ones)).encode())
         assert h.hexdigest()[:16] == FROZEN_PERMUTATION_DIGESTS[point]
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(k=st.integers(1, 40), d=st.integers(2, 4), data=st.data())
+    def test_columns_are_permutations_for_any_in_range_swaps(self, k, d, data):
+        # the swap partner of i on each axis is anywhere in [0, i]
+        raw = data.draw(st.lists(st.integers(0, 2**32), min_size=(d - 1) * (k - 1),
+                                 max_size=(d - 1) * (k - 1)))
+        bounds = list(range(k - 1, 0, -1)) * (d - 1)
+        cols = _permutation_columns(k, d, [r % (i + 1) for r, i in zip(raw, bounds)])
+        assert len(cols) == d - 1
+        for col in cols:
+            assert sorted(col) == list(range(1, k + 1))
 
     def test_deterministic_for_fixed_seed(self):
         a = random_permutation(12, 3, 987654321)

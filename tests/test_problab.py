@@ -129,18 +129,19 @@ class TestProbabilityChain:
             probability_chain(10, 2, 1)
 
 
-class SpyRedrawn:
-    """Records the draw each call of `probability._redrawn` starts from."""
+class SpyGenerator:
+    """Records the seed of each trial that `probability._trial_swaps` hands
+    to numpy's generator, `_generator_swaps`."""
 
     def __init__(self, monkeypatch):
         self.calls = []
-        redrawn = probability._redrawn
+        generator_swaps = probability._generator_swaps
 
-        def spy(words, bounds, done, state, inc):
-            self.calls.append(done)
-            return redrawn(words, bounds, done, state, inc)
+        def spy(seed, highs):
+            self.calls.append(seed)
+            return generator_swaps(seed, highs)
 
-        monkeypatch.setattr(probability, "_redrawn", spy)
+        monkeypatch.setattr(probability, "_generator_swaps", spy)
 
 
 class TestAvoidProbability:
@@ -198,6 +199,16 @@ class TestAvoidProbability:
             "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
         )
         assert self.fresh_output(code).splitlines()[-1] == "True False"
+
+    def test_estimate_with_a_rejecting_trial_loads_numpy_random(self):
+        # at k = 100,000 in d = 2 a trial rejects a word 0.58 times on
+        # average; trial 0 of seed 2 rejects one
+        code = (
+            "import sys; from patternforge.probability import avoid_probability; "
+            "avoid_probability(100_000, 2, 2, trials=1, seed=2); "
+            "print('numpy.random' in sys.modules)"
+        )
+        assert self.fresh_output(code) == "True"
 
     def test_estimate_without_draws_leaves_numpy_unloaded(self):
         # k < ell^d: every trial avoids, and none is drawn or seeded
@@ -268,22 +279,35 @@ class TestAvoidProbability:
         got = list(probability._trial_swaps(2026, 7, highs))
         assert got == [self.numpy_draws(2026, t, highs) for t in range(7)]
 
-    def test_rejections_redrawn_past_the_words_of_a_pass(self, monkeypatch):
-        # a bound of 3 * 2**30 rejects a quarter of the words, and 2**32 and
-        # 2**32 - 1 are the edges of the 32-bit draw; the redraws run past the
-        # words one pass computed, and in windows of a few draws
-        highs = np.array([3 * 2**30, 2**32, 2**32 - 1, 3 * 2**30 + 1, 5] * 60)
-        spy = SpyRedrawn(monkeypatch)
-        monkeypatch.setattr(probability, "_CHUNK_WORDS", 7)
-        got = list(probability._trial_swaps(9, 6, highs))
-        assert got == [self.numpy_draws(9, t, highs) for t in range(6)]
-        assert len(spy.calls) == 6
+    @staticmethod
+    def rejects(seed: int, t: int, highs) -> bool:
+        """Whether a bounded draw of trial t rejects its word: up to the
+        first rejection, draw i reads 32-bit word i of the stream."""
+        raw = np.random.PCG64(np.random.SeedSequence([seed, t])).random_raw(len(highs))
+        words = raw.astype("<u8").view("<u4").tolist()  # the low half first
+        return any(w * h % 2**32 < 2**32 % h for w, h in zip(words, highs.tolist()))
+
+    def test_rejecting_trials_are_drawn_by_numpy(self, monkeypatch):
+        # a bound of 3 * 2**30 or 3 * 2**30 + 1 rejects about a quarter of
+        # the words, and 2**32 and 2**32 - 1 are the edges of the 32-bit
+        # draw.  Sixty rounds of the bounds reject in every trial, one trial
+        # to a chunk; one round rejects in some trials of a chunk of twelve
+        for rounds, chunk_words in [(60, 7), (1, 1 << 16)]:
+            highs = np.array([3 * 2**30, 2**32, 2**32 - 1, 3 * 2**30 + 1, 5] * rounds)
+            spy = SpyGenerator(monkeypatch)
+            monkeypatch.setattr(probability, "_CHUNK_WORDS", chunk_words)
+            got = list(probability._trial_swaps(9, 12, highs))
+            assert got == [self.numpy_draws(9, t, highs) for t in range(12)]
+            want = [[9, t] for t in range(12) if self.rejects(9, t, highs)]
+            assert spy.calls == want
+            assert want, "no trial had a rejection"
+            assert len(want) == 12 if rounds == 60 else len(want) < 12
 
     @pytest.mark.parametrize("k, d, trials", [(100_000, 2, 4), (60_000, 3, 2)])
     def test_trials_with_common_rejections_match_random_permutation(self, k, d, trials, monkeypatch):
         # 0.58 and 0.42 rejections a trial on average: 2**32 mod bound summed
         # over the bounds, over 2**32
-        spy = SpyRedrawn(monkeypatch)
+        spy = SpyGenerator(monkeypatch)
         seed = 17
         for t, swaps in enumerate(probability._trial_swaps(seed, trials, _swap_bounds(k, d))):
             want = random_permutation(k, d, np.random.SeedSequence([seed, t])).matrix
