@@ -53,7 +53,9 @@ def _swap_bounds(k: int, d: int) -> np.ndarray:
         raise RangeError(f"side k too large to shuffle ({exc})") from None
 
 
-def _permutation_columns(k: int, d: int, swaps: list[int]) -> list[list[int]]:
+def _permutation_columns(
+    k: int, d: int, swaps: list[int], columns: list[list[int]] | None = None
+) -> list[list[int]]:
     """Coordinates on axes 2..d of the ones of a random permutation matrix of
     side k, ordered by the first coordinate: d-1 Fisher-Yates shuffles of
     1..k, one after another.
@@ -62,16 +64,20 @@ def _permutation_columns(k: int, d: int, swaps: list[int]) -> list[list[int]]:
     for each axis in turn: what `Generator.integers(0, _swap_bounds(k, d))`
     draws, element by element from the generator's stream, so that one call
     draws what d-1 calls would.
+
+    Given `columns`, d-1 lists of k values, it shuffles those in place
+    instead of 1..k.  The shuffle swaps positions, never reads a value, so
+    a list of f(1), ..., f(k) comes out holding f of the coordinate at each
+    position.
     """
+    if columns is None:
+        columns = [list(range(1, k + 1)) for _ in range(d - 1)]
     swaps = iter(swaps)
-    cols = []
-    for _ in range(d - 1):
-        perm = list(range(1, k + 1))
+    for perm in columns:
         # zip stops on the exhausted range before it takes the next axis's swap
         for i, j in zip(range(k - 1, 0, -1), swaps):
             perm[i], perm[j] = perm[j], perm[i]
-        cols.append(perm)
-    return cols
+    return columns
 
 
 def _generator_swaps(

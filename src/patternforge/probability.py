@@ -14,12 +14,15 @@ shuffles the permutation's columns from the swap partners that numpy's
 t])`; this module computes them itself, seeding, stream and bounded draws,
 in one numpy array pass per chunk of trials.  Only a trial in which a draw
 rejects its word is drawn by numpy's generator, so `numpy.random` is loaded
-only by an estimate that has such a trial.  The trial reads the block of
-each 1 off the columns in a table built once per estimate, and builds the
+only by an estimate that has such a trial.  The trial's shuffle moves
+integer block codes, one list per axis built once per estimate, so the
+block of each 1 is a sum of the codes at its position, and it builds the
 ones for the exact decider only when the split misses a block; the misses
 are reported as `equal_split_misses`, the event the union bound bounds.
-`probability_chain` compares floats; only `ChainReport.final_bound_exact` and
-`ratio_lower_bound` are exact rationals (Fraction).
+`probability_chain` reports its four expressions as floats and decides
+strictness on their logarithms, which do not underflow; only
+`ChainReport.final_bound_exact` and `ratio_lower_bound` are exact rationals
+(Fraction).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -133,6 +137,11 @@ def probability_chain(k: int, ell: int, d: int) -> ChainReport:
     k = 2*ell the first two expressions coincide, and the final inequality
     needs k past the side threshold); the report's `strict` is False there,
     and only a strict chain bounds the per-block miss probability.
+
+    `strict` compares the natural logarithms of the four expressions, a
+    power's as its exponent times `log1p` of its base, which stay apart
+    where the first terms underflow as floats (from k = 10,361 at ell = d =
+    2 both read 0.0); `values` holds the floats themselves.
     """
     if ell < 2:
         raise PreconditionError(f"need ell >= 2, got {ell}")
@@ -145,12 +154,18 @@ def probability_chain(k: int, ell: int, d: int) -> ChainReport:
     exponential = math.exp(-k / (2 * ell) ** d)
     final = ell ** -(d + 1)
     values = (base, halved, exponential, final)
+    logs = (
+        (k / ell - 1) * math.log1p(-((1 / ell - 1 / k) ** (d - 1))),
+        k / (2 * ell) * math.log1p(-1 / (2 * ell) ** (d - 1)),
+        -k / (2 * ell) ** d,
+        -(d + 1) * math.log(ell),
+    )
     return ChainReport(
         k=k,
         ell=ell,
         d=d,
         values=values,
-        strict=base < halved < exponential < final,
+        strict=logs[0] < logs[1] < logs[2] < logs[3],
         final_bound_exact=Fraction(1, ell ** (d + 1)),
     )
 
@@ -431,8 +446,8 @@ def _trial_swaps(seed: int, trials: int, highs: np.ndarray) -> Iterator[list[int
         m = words[:, :draws] * bounds
         rejected = ((m & _MASK32) < rejects).any(axis=1).tolist()
         m >>= 32
-        for i, redraw in enumerate(rejected):
-            yield _generator_swaps([seed, done + i], highs) if redraw else m[i].tolist()
+        for i, (redraw, row) in enumerate(zip(rejected, m.tolist())):
+            yield _generator_swaps([seed, done + i], highs) if redraw else row
         done += len(chunk)
 
 
@@ -450,15 +465,20 @@ def avoid_probability(
     (seed, t) and draws the same permutation as `random_permutation(k, d,
     SeedSequence([seed, t]))`, as d-1 columns.  What depends only on (k,
     ell, d, seed) is built once per estimate: the swap bounds of the
-    shuffles and the table of the part of the equal split each coordinate
-    falls in (every axis has extent k and ell parts, from `_split_part`).
-    The swap partners of every trial come from `_trial_swaps`, which
-    computes PCG64's stream and numpy's bounded draws itself, in one numpy
-    pass per chunk of trials, and builds numpy's generator only for a trial
-    in which a draw rejects its word.  A trial looks up the block of each of
-    its ones in the table; one whose split hits every block contains the
-    pattern.  Only a trial whose split misses a block, counted in
-    `equal_split_misses`, builds its set of ones for the exact sweep that
+    shuffles, the part p(c) of the equal split each coordinate c falls in
+    (every axis has extent k and ell parts, from `_split_part`), and for
+    each axis j = 2..d the codes p(c) * ell^(j-1) for c = 1..k.  The swap
+    partners of every trial come from `_trial_swaps`, which computes
+    PCG64's stream and numpy's bounded draws itself, in one numpy pass per
+    chunk of trials, and builds numpy's generator only for a trial in which
+    a draw rejects its word.  A trial shuffles copies of the code lists with
+    its swaps, so position i of axis j's list holds the code of that axis's
+    coordinate of the i-th 1, and sums them position by position with the
+    first axis's parts: the sum numbers the block of each 1, one number per
+    block in 0 .. ell^d - 1, and a trial whose sums take all ell^d values
+    hits every block and contains the pattern.  Only a trial whose split
+    misses a block, counted in `equal_split_misses`, shuffles 1..k with the
+    same swaps and builds its set of ones for the exact sweep that
     `_allones_decider` picks.  With k < ell^d there are fewer ones than
     blocks, so every trial avoids and misses, and none is drawn.  Each trial
     is decided exactly, so `undecided` is 0.
@@ -482,16 +502,19 @@ def avoid_probability(
         if k > 2**32:
             raise RangeError(f"side k too large to shuffle (k > 2**32, got {k})")
         draws = _trial_swaps(seed, drawn, _swap_bounds(k, d))
-        first_axis_parts = [_split_part(c, ell, k) for c in range(1, k + 1)]
-        part = [0] + first_axis_parts  # part[c] is the part of coordinate c
+        parts = [_split_part(c, ell, k) for c in range(1, k + 1)]
+        # block (p_1, ..., p_d) has the code p_1 + p_2 ell + ... + p_d ell^(d-1),
+        # one code per block in 0 .. ell^d - 1; axis j's list holds its term
+        codes = [[p * ell**j for p in parts] for j in range(1, d)]
         decide = _allones_decider(all_ones((ell,) * d), (k,) * d, k)
     for swaps in draws:
-        cols = _permutation_columns(k, d, swaps)
-        hit_blocks = set(zip(first_axis_parts, *(map(part.__getitem__, col) for col in cols)))
-        if len(hit_blocks) == blocks:
+        block_codes = parts
+        for col in _permutation_columns(k, d, swaps, [c[:] for c in codes]):
+            block_codes = map(operator.add, block_codes, col)
+        if len(set(block_codes)) == blocks:
             continue
         misses += 1
-        ones = set(zip(range(1, k + 1), *cols))
+        ones = set(zip(range(1, k + 1), *_permutation_columns(k, d, swaps)))
         avoid_count += not decide(ones)
     p = avoid_count / trials
     radius = _Z99 * math.sqrt(p * (1 - p) / trials)

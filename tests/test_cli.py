@@ -433,6 +433,15 @@ def test_prob_chain_strict_vs_degenerate(capsys):
     assert "strict: False" in out
 
 
+def test_prob_chain_strict_where_floats_underflow(capsys):
+    # the first two expressions print as 0.0, yet the chain holds
+    code, out = run(capsys, ["prob", "chain", "--k", "10361", "--ell", "2", "--d", "2",
+                             "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["strict"] is True and data["values"][:2] == [0.0, 0.0]
+
+
 def test_prob_estimate_anchor(capsys):
     code, out = run(
         capsys,
@@ -491,6 +500,11 @@ FROZEN_ESTIMATES = {
     (8, 2, 3, 200, 2026): (179, "26d6f93217edfe1b"),
     (20, 2, 3, 200, 11): (0, "2e1e841e01fed926"),
     (20, 2, 3, 200, 2026): (0, "083c613554381b8f"),
+    # the paper's d = 4 thresholds, recorded with parts read per coordinate
+    (7120, 3, 4, 2, 11): (0, "c8b995b887ca7192"),
+    (7120, 3, 4, 2, 2026): (0, "f2a27ce5db13cdc2"),
+    (28392, 4, 4, 2, 11): (0, "4a268ee16b0b00a2"),
+    (28392, 4, 4, 2, 2026): (0, "9761ab27c03d3728"),
 }
 # the `equal_split_misses` of each FROZEN_ESTIMATES point, which the digests
 # above leave out, recorded with the split read from a set of ones per trial
@@ -507,6 +521,10 @@ FROZEN_SPLIT_MISSES = {
     (8, 2, 3, 200, 2026): 179,
     (20, 2, 3, 200, 11): 41,
     (20, 2, 3, 200, 2026): 43,
+    (7120, 3, 4, 2, 11): 0,
+    (7120, 3, 4, 2, 2026): 0,
+    (28392, 4, 4, 2, 11): 0,
+    (28392, 4, 4, 2, 2026): 0,
 }
 SWEEP_ARGV = ["prob", "estimate", "--sweep-k", "2,3,4,8,16", "--ell", "2", "--d", "2",
               "--trials", "100", "--seed", "5"]

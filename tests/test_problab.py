@@ -112,6 +112,16 @@ class TestProbabilityChain:
         assert rep.values[0] == rep.values[1]
         assert not rep.strict
 
+    @pytest.mark.parametrize("k, ell, d", [(10361, 2, 2), (46183, 2, 3), (24522, 3, 2),
+                                           (158703, 3, 3), (3047566, 4, 4)])
+    def test_strict_where_floats_underflow(self, k, ell, d):
+        # the first k past each threshold where the float terms underflow so
+        # far that they no longer compare strictly
+        rep = probability_chain(k, ell, d)
+        base, halved, exponential, _ = rep.values
+        assert base == 0.0 and not base < halved < exponential
+        assert rep.strict
+
     def test_final_bound_rational_identity(self):
         for ell in (2, 3, 5):
             for d in (2, 3):
