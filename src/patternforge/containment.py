@@ -326,10 +326,12 @@ def _embedding(
     to off the plan and the images so far, and tries, in order, the host
     ones past the previous image whose first coordinate lies in axis 1's
     window (a bisected slice of `host`), testing the other axes against
-    theirs.  With a plan made through_last, `through` is a host 1
-    lex-greater than every one of `host`, and only embeddings using it are
-    searched: it can only be the image of the lex-greatest 1 of P, and that
-    pair is pinned before the search runs over `host`.
+    theirs.  A host 1 that passes is the image, and the next 1 of P comes
+    up; a spent window drops the last image and goes on just past it.  With
+    a plan made through_last, `through` is a host 1 lex-greater than every
+    one of `host`, and only embeddings using it are searched: it can only be
+    the image of the lex-greatest 1 of P, and that pair is pinned before the
+    search runs over `host`.
     """
     if plan is None:
         return None
@@ -346,13 +348,15 @@ def _embedding(
         img[len(pat) - 1] = through  # the lex-greatest 1 of P
     spend = _Budget(node_budget).spend
     end = len(host)
-
-    def rec(i: int, start: int) -> bool:
-        if i == len(steps):
-            return True
+    at: list[int] = []  # the host index of each image so far
+    resume = 0  # where the current window goes on; 0 starts it afresh
+    while len(at) < len(steps):
+        i = len(at)
         (_, lo, lo_off, hi, hi_off), rest = steps[i]
+        start = at[-1] + 1 if at else 0
         stop = bisect_left(host, (img[hi][0] + hi_off + 1,), start, end)
-        for j in range(bisect_left(host, (img[lo][0] + lo_off,), start, stop), stop):
+        first = resume or bisect_left(host, (img[lo][0] + lo_off,), start, stop)
+        for j in range(first, stop):
             spend()
             hc = host[j]
             for ax, a, a_off, b, b_off in rest:
@@ -360,13 +364,14 @@ def _embedding(
                     break
             else:
                 img[i] = hc
-                if rec(i + 1, j + 1):
-                    return True
-        return False
-
-    if rec(0, 0):
-        return list(zip(pat, img))
-    return None
+                at.append(j)
+                resume = 0
+                break
+        else:  # the window is spent: go on past the last image
+            if not at:
+                return None
+            resume = at.pop() + 1
+    return list(zip(pat, img))
 
 
 def contains_pattern(A: TensorMatrix, P: TensorMatrix) -> bool:

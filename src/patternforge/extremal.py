@@ -169,34 +169,36 @@ def _branch_and_bound(
     seed: ExtremalRecord | None,
 ):
     """(value, ones, status) of the best avoider found, starting from the
-    cached `seed`; one budget node is one call of `rec`."""
+    cached `seed`; one budget node is one visit of a cell index.  A cell
+    that creates no containment is taken first; a leaf, or a node that
+    cannot beat the best, pops the last taken index j and visits j + 1
+    without cell j, and with nothing to pop the search is exact."""
     cells = list(itertools.product(*(range(1, n + 1) for n in dims)))  # lex order
     total = len(cells)
     best_value = seed.value if seed else 0
     best_ones = seed.witness.ones if seed else frozenset()
     chosen: list[Coord] = []
-    budget = _Budget(cfg.node_budget, cfg.time_budget)
-
-    def rec(i: int) -> None:
-        nonlocal best_value, best_ones
-        budget.spend()
-        if len(chosen) > best_value:
-            best_value = len(chosen)
-            best_ones = frozenset(chosen)
-        if i == total or len(chosen) + (total - i) <= best_value:
-            return
-        cell = cells[i]
-        if not creates_containment(chosen, cell):
-            chosen.append(cell)
-            rec(i + 1)
-            chosen.pop()
-        rec(i + 1)
-
+    taken: list[int] = []
+    spend = _Budget(cfg.node_budget, cfg.time_budget).spend
+    i = 0
     try:
-        rec(0)
+        while True:
+            spend()
+            if len(chosen) > best_value:
+                best_value = len(chosen)
+                best_ones = frozenset(chosen)
+            if i < total and len(chosen) + (total - i) > best_value:
+                if not creates_containment(chosen, cells[i]):
+                    chosen.append(cells[i])
+                    taken.append(i)
+                i += 1
+            elif taken:
+                chosen.pop()
+                i = taken.pop() + 1
+            else:
+                return best_value, best_ones, "exact"
     except BudgetExceededError:
         return best_value, best_ones, "lower-bound-only"
-    return best_value, best_ones, "exact"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import math
 from bisect import bisect_left
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import RangeError, StructureError, TensorParseError
 
@@ -277,28 +277,16 @@ def kronecker(M: TensorMatrix, N: TensorMatrix) -> TensorMatrix:
     return TensorMatrix(dims, ones)
 
 
-def _hyperplane_coords(s: int, d: int, total: int) -> Iterator[Coord]:
-    """All coordinates in [1,s]^d with component sum `total`."""
-
-    def rec(prefix: list[int], remaining_axes: int, remaining_sum: int):
-        if remaining_axes == 1:
-            if 1 <= remaining_sum <= s:
-                yield tuple(prefix + [remaining_sum])
-            return
-        lo = max(1, remaining_sum - s * (remaining_axes - 1))
-        hi = min(s, remaining_sum - (remaining_axes - 1))
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + [v], remaining_axes - 1, remaining_sum - v)
-
-    yield from rec([], d, total)
-
-
 def antidiagonal(s: int, d: int) -> TensorMatrix:
     """s x ... x s matrix with ones exactly where the coordinates sum to
     s + d - 1; it has binomial(s+d-2, d-1) ones."""
     if s < 1 or d < 1:
         raise RangeError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
-    ones = list(_hyperplane_coords(s, d, s + d - 1))
+    ones = []
+    for head in itertools.product(range(1, s + 1), repeat=d - 1):
+        last = s + d - 1 - sum(head)
+        if 1 <= last <= s:
+            ones.append(head + (last,))
     return TensorMatrix((s,) * d, ones)
 
 

@@ -12,6 +12,7 @@ import pytest
 from patternforge import (
     GridWitness,
     TensorMatrix,
+    all_ones,
     antidiagonal,
     identity_permutation,
     kronecker,
@@ -229,6 +230,32 @@ def test_extremal_budget_exits_3(files, capsys):
     )
     assert code == 3
     assert json.loads(out)["status"] == "lower-bound-only"
+
+
+@pytest.mark.parametrize("kind, n, pattern, value", [
+    ("f", 32, identity_permutation(2, 2).matrix, 63),
+    ("f", 10, identity_permutation(2, 3).matrix, 271),
+    ("m", 32, all_ones((2, 2)), 63),
+], ids=["f-I2-n32", "f-I2-d3-n10", "m-J2-n32"])
+def test_budgeted_search_on_a_thousand_cells_exits_3(tmp_path, capsys, kind, n, pattern, value):
+    p = tmp_path / "P.tsr"
+    p.write_text(serialize_tensor(pattern))
+    code, out = run(
+        capsys,
+        ["extremal", kind, "--n", str(n), "--pattern", str(p),
+         "--budget-nodes", "3000", "--format", "json"],
+    )
+    assert code == 3
+    rec = json.loads(out)
+    assert (rec["value"], rec["status"]) == (value, "lower-bound-only")
+
+
+def test_contains_on_a_pattern_with_1100_ones_exits_0(tmp_path, capsys):
+    p = tmp_path / "I1100.tsr"
+    p.write_text(serialize_tensor(identity_permutation(1100, 2).matrix))
+    code, out = run(capsys, ["contains", "--a", str(p), "--p", str(p)])
+    assert code == 0
+    assert out.startswith("contains")
 
 
 def test_records_list_and_verify(files, tmp_path, capsys):

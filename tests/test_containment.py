@@ -70,6 +70,11 @@ class TestContainsPattern:
         assert contains_pattern(A, TensorMatrix((2, 2)))
         assert not contains_pattern(A, TensorMatrix((3, 1)))
 
+    def test_pattern_with_more_ones_than_the_frame_limit(self):
+        # the search maps one 1 per step, 1,100 steps deep
+        I = identity_permutation(1100, 2).matrix
+        assert contains_pattern(I, I)
+
     def test_boundary_room_is_enforced(self):
         # lone pattern one at (2,2) cannot land on (1,1): no strictly
         # increasing map sends 2 to 1

@@ -201,6 +201,18 @@ class TestBudgets:
             rec = run(4, P, SearchConfig(node_budget=budget))
             assert (rec.value, rec.status, sorted(rec.witness.ones)) == (value, status, ones)
 
+    @pytest.mark.parametrize("kind, n, P, value", [
+        ("f", 32, IDENTITY2, 63),
+        ("f", 10, TensorMatrix((2, 2, 2), [(1, 1, 1), (2, 2, 2)]), 271),
+        ("m", 32, all_ones((2, 2)), 63),
+    ], ids=["f-I2-n32", "f-I2-d3-n10", "m-J2-n32"])
+    def test_budgeted_search_deeper_than_the_frame_limit(self, kind, n, P, value):
+        # the first descent visits all 1,024 or 1,000 cells, one level each
+        run = max_ones_avoiding if kind == "f" else max_ones_avoiding_minor
+        rec = run(n, P, SearchConfig(node_budget=3000))
+        rec.verify()
+        assert (rec.value, rec.status) == (value, "lower-bound-only")
+
     def test_time_budget_gives_lower_bound_status(self):
         for run in (max_ones_avoiding, max_ones_avoiding_minor):
             rec = run(5, IDENTITY2, SearchConfig(time_budget=1e-9))

@@ -399,8 +399,8 @@ class TestAntidiagonal:
                 A = antidiagonal(s, d)
                 assert A.ones_count == math.comb(s + d - 2, d - 1), (s, d)
 
-    def test_membership_by_sum(self):
-        s, d = 4, 3
+    @pytest.mark.parametrize("s, d", [(1, 1), (5, 1), (4, 2), (4, 3), (3, 4), (6, 4)])
+    def test_membership_by_sum(self, s, d):
         A = antidiagonal(s, d)
         for c in itertools.product(range(1, s + 1), repeat=d):
             assert A.has_one(c) == (sum(c) == s + d - 1)
