@@ -7,6 +7,8 @@ Exit status contract, used by every subcommand:
   3  budget exhausted: the question is undecided
   4  verification failure (checked construction or stored record broke its
      own claims; indicates a bug or tampered data, not bad usage)
+A subcommand reports an error by raising it; `main` alone prints it and
+picks its code.
 
 Tensor arguments accept a file path (text or JSON format, sniffed by the
 leading '{') or the inline shorthand `allones:k1,k2,...`.  Randomized
@@ -30,6 +32,7 @@ from .containment import GridWitness, contains_interval_minor, find_embedding
 from .errors import (
     BudgetExceededError,
     PatternforgeError,
+    PreconditionError,
     StructureError,
     TensorParseError,
     VerificationError,
@@ -243,9 +246,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_ratio_seq(args) -> int:
     if args.n_from > args.n_to:
-        print(f"error: empty range of n: --n-from {args.n_from} > --n-to {args.n_to}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise PreconditionError(f"empty range of n: --n-from {args.n_from} > --n-to {args.n_to}")
     cfg = _search_config(args)
     P = _load_tensor(args.pattern)
     n_range = range(args.n_from, args.n_to + 1)
@@ -319,11 +320,7 @@ def _cmd_prob(args) -> int:
 def _cmd_records(args) -> int:
     cache = _cache_dir(args)
     if cache is None:
-        print(
-            "error: no cache directory (use --cache-dir or PATTERNFORGE_CACHE)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise PreconditionError("no cache directory (use --cache-dir or PATTERNFORGE_CACHE)")
     recs = load_records(cache)
     if args.what == "list":
         payload = {"records": [r.to_json() for r in recs]}

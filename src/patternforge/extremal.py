@@ -232,14 +232,11 @@ def _intact_length(data: bytes) -> int:
 _DECODER = json.JSONDecoder()
 
 
-def _parsed_lines(
-    cache_dir: str | Path, noted: set[str] | None = None
-) -> Iterator[tuple[int, dict]]:
+def _parsed_lines(cache_dir: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) for each line of the cache; blank lines and
     a torn tail are skipped, the latter with a note on stderr, and any other
-    line that is not a JSON object raises StructureError naming it.  A note
-    already in `noted`, the notes printed by earlier reads of the same
-    request, is not printed again.
+    line that is not a JSON object raises StructureError naming it.  Each
+    call reads the file once, so it notes a torn tail once.
 
     The intact bytes are decoded once, and each line is read by one scan
     from its start, which is taken when it ends in a JSON object followed on
@@ -256,11 +253,7 @@ def _parsed_lines(
     intact = data[: _intact_length(data)]
     if len(intact) < len(data):
         torn = intact.count(b"\n") + 1
-        note = f"warning: {path}:{torn}: skipped a torn last line"
-        noted = set() if noted is None else noted
-        if note not in noted:
-            print(note, file=sys.stderr)
-            noted.add(note)
+        print(f"warning: {path}:{torn}: skipped a torn last line", file=sys.stderr)
     try:
         text = intact.decode()
     except UnicodeDecodeError:
@@ -354,17 +347,18 @@ def _holds_pattern(data: dict, pattern: dict) -> bool:
 
 
 def _cached_lookup(
-    cfg: SearchConfig, kind: str, n: int, P: TensorMatrix, noted: set[str] | None = None
+    cfg: SearchConfig, kind: str, n: int, P: TensorMatrix, lines: list | None = None
 ):
-    """(exact record, best lower-bound record) already stored for this search.
+    """(exact record, best lower-bound record) already stored for this search,
+    found among `lines`, the `_parsed_lines` of the cache, which are read
+    here when not given.
 
     Each line's kind, n, d, fingerprint and pattern are compared as parsed
     JSON, and only the lines that match are built into records, so a record
     for another key whose tensors are malformed (a witness coordinate outside
     its extents, say) is not an error here; `records list` and `records
     verify` still report it.  A line that is not JSON or not UTF-8 is an
-    error wherever it sits; a torn tail is skipped, with a note unless it is
-    in `noted`.
+    error wherever it sits; a torn tail is skipped with a note.
     """
     if cfg.cache_dir is None:
         return None, None
@@ -373,7 +367,7 @@ def _cached_lookup(
     exact = None
     seed = None
     tensors: dict = {}
-    for lineno, data in _parsed_lines(cfg.cache_dir, noted):
+    for lineno, data in _parsed_lines(cfg.cache_dir) if lines is None else lines:
         got = (data.get("kind"), data.get("n"), data.get("d"), data.get("fingerprint"))
         if got != key or not _holds_pattern(data, pattern):
             continue
@@ -391,7 +385,7 @@ def _cached_lookup(
 
 
 def _run(
-    kind: str, n: int, P: TensorMatrix, cfg: SearchConfig, noted: set[str] | None = None
+    kind: str, n: int, P: TensorMatrix, cfg: SearchConfig, lines: list | None = None
 ) -> ExtremalRecord:
     if P.is_zero:
         raise PreconditionError("pattern must contain at least one 1")
@@ -401,7 +395,7 @@ def _run(
         raise PreconditionError(f"need n >= 1, got {n}")
     d = P.d
     dims = (n,) * d
-    exact, seed = _cached_lookup(cfg, kind, n, P, noted)
+    exact, seed = _cached_lookup(cfg, kind, n, P, lines)
     if exact is not None:
         exact.verify()
         return exact
@@ -468,15 +462,16 @@ def ratio_sequence(
     kind: str = "f",
 ) -> list[RatioPoint]:
     """Exact values of the extremal function over a range of n together with
-    value / n^(d-1), the scaling the trivial bounds sandwich.  A torn cache
-    tail is noted on stderr once per call, not once per n."""
+    value / n^(d-1), the scaling the trivial bounds sandwich.  The cache is
+    read once, before the first n: every n is looked up in the cache as it
+    stood when the call began, and a torn tail gets one note."""
     if kind not in ("f", "m"):
         raise PreconditionError(f"kind must be 'f' or 'm', got {kind!r}")
     cfg = cfg or SearchConfig()
-    noted: set[str] = set()
+    lines = None if cfg.cache_dir is None else list(_parsed_lines(cfg.cache_dir))
     out = []
     for n in n_range:
-        rec = _run(kind, n, P, cfg, noted)
+        rec = _run(kind, n, P, cfg, lines)
         out.append(
             RatioPoint(
                 n=n,

@@ -9,14 +9,15 @@ oracle calls only the public `contains_pattern` and `contract`.
 import itertools
 import json
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from patternforge.containment import contains_pattern
+from patternforge.containment import contains_pattern, has_interval_minor
 from patternforge.errors import PreconditionError, RangeError, StructureError
 from patternforge.extremal import load_records
-from patternforge.tensor import TensorMatrix, contract
+from patternforge.tensor import TensorMatrix, all_ones, contract
 
 # contains_via_contraction_oracle refuses hosts above this many cells
 ORACLE_CELL_LIMIT = 512
@@ -252,3 +253,23 @@ def contains_via_contraction_oracle(A: TensorMatrix, B: TensorMatrix) -> bool:
                     seen.add(nxt)
                     queue.append(nxt)
     return False
+
+
+def exact_avoidance(k: int, ell: int, d: int) -> tuple[Fraction, Fraction]:
+    """(P(avoid), P(split miss)) of a uniformly random k x ... x k
+    permutation tensor against the all-ones side-ell minor, by enumerating
+    every (k!)^(d-1) tuple of permutations.  The equal split puts coordinate
+    c in block (c - 1) * ell // k of its axis; a tensor that misses one of
+    the ell^d blocks is decided by `has_interval_minor`, and every other
+    tensor contains the minor."""
+    target = all_ones((ell,) * d)
+    avoid = miss = total = 0
+    for cols in itertools.product(itertools.permutations(range(1, k + 1)), repeat=d - 1):
+        total += 1
+        ones = list(zip(range(1, k + 1), *cols))
+        blocks = {tuple((c - 1) * ell // k for c in one) for one in ones}
+        if len(blocks) == ell**d:
+            continue
+        miss += 1
+        avoid += not has_interval_minor(TensorMatrix((k,) * d, ones), target)
+    return Fraction(avoid, total), Fraction(miss, total)

@@ -287,6 +287,24 @@ def test_records_verify_flags_tampering(files, tmp_path, capsys):
     assert code == 4  # a cache hit is checked before it is served
 
 
+def test_records_verify_flags_a_minor_witness_that_contains_the_minor(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["extremal", "m", "--n", "3", "--pattern", "allones:2,2", "--cache-dir", str(cache)]
+    assert run(capsys, argv)[0] == 0
+    path = cache / "records.jsonl"
+    rec = json.loads(path.read_text())
+    assert rec["status"] == "exact"
+    rec["witness"], rec["value"] = tensor_to_json(all_ones((3, 3))), 9
+    path.write_text(json.dumps(rec) + "\n")
+    code, out = run(capsys, ["records", "verify", "--cache-dir", str(cache), "--format", "json"])
+    assert code == 4
+    error = "stored witness contains the pattern as an interval minor"
+    assert json.loads(out)["failures"] == [{"index": 0, "error": error}]
+    code = main(argv)
+    assert capsys.readouterr().err == f"verification failure: {error}\n"
+    assert code == 4  # a cache hit is checked before it is served
+
+
 @pytest.mark.parametrize(
     "argv",
     [["extremal", "f", "--n", "3"], ["extremal", "m", "--n", "3"],
@@ -424,6 +442,15 @@ def test_records_without_cache_dir_exits_2(capsys, monkeypatch):
     code = main(["records", "list"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_ratio_seq_ending_lower_bound_only_exits_3(files, capsys):
+    code, out = run(capsys, ["ratio-seq", "--pattern", files["p"], "--n-from", "1",
+                             "--n-to", "3", "--budget-nodes", "20"])
+    assert out.splitlines()[1:] == [
+        "1,1,1.0,exact", "2,3,1.5,exact", "3,5,1.6666666666666667,lower-bound-only"
+    ]
+    assert code == 3
 
 
 def test_ratio_seq_csv(files, capsys):

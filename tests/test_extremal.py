@@ -1,5 +1,6 @@
 """Branch-and-bound extremal search against the naive all-matrices oracle."""
 
+import dataclasses
 import fcntl
 import hashlib
 import itertools
@@ -362,7 +363,7 @@ class TestCache:
             except StructureError as exc:
                 want = exc
             try:
-                got = repr(list(_parsed_lines(cache, noted=set())))
+                got = repr(list(_parsed_lines(cache)))
             except StructureError as exc:
                 assert (type(exc), str(exc)) == (type(want), str(want))
             else:
@@ -596,6 +597,28 @@ class TestExtremalRecord:
         with pytest.raises(VerificationError):
             bad.verify()
 
+    def test_verify_catches_witness_extents(self):
+        rec = max_ones_avoiding(3, IDENTITY2)
+        for dims in ((4, 4), (3, 3, 3)):
+            ones = [c + (1,) * (len(dims) - 2) for c in rec.witness.ones]
+            bad = dataclasses.replace(rec, witness=TensorMatrix(dims, ones))
+            with pytest.raises(VerificationError, match="witness extents"):
+                bad.verify()
+
+    def test_verify_catches_exact_f_value_below_the_trivial_bound(self):
+        rec = max_ones_avoiding(3, IDENTITY2)
+        row = TensorMatrix((3, 3), [(1, 1), (1, 2)])  # avoids I2 with 2 < 3 ones
+        bad = dataclasses.replace(rec, witness=row, value=2)
+        with pytest.raises(VerificationError, match="trivial bounds"):
+            bad.verify()
+        dataclasses.replace(bad, status="lower-bound-only").verify()
+
+    def test_verify_catches_m_witness_that_contains_the_minor(self):
+        rec = max_ones_avoiding_minor(3, all_ones((2, 2)))
+        bad = dataclasses.replace(rec, witness=all_ones((3, 3)), value=9)
+        with pytest.raises(VerificationError, match="as an interval minor"):
+            bad.verify()
+
     def test_malformed_json_rejected(self):
         with pytest.raises(StructureError):
             ExtremalRecord.from_json({"kind": "f"})
@@ -637,6 +660,21 @@ class TestRatioSequence:
     def test_bad_kind(self):
         with pytest.raises(PreconditionError):
             ratio_sequence(IDENTITY2, [2], kind="x")
+
+    def test_one_cache_read_per_call(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(cache_dir=tmp_path)
+        want = ratio_sequence(IDENTITY2, range(1, 5), cfg)  # stores a record per n
+        read = extremal._parsed_lines
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(extremal, "_parsed_lines", counting)
+        assert ratio_sequence(IDENTITY2, range(1, 5), cfg) == want
+        assert len(calls) == 1
+        assert len(load_records(tmp_path)) == 4  # every n served from the cache
 
 
 I3 = TensorMatrix((3, 3), [(1, 1), (2, 2), (3, 3)])

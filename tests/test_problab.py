@@ -419,6 +419,53 @@ class TestAvoidProbability:
         assert (rep.avoid_count, rep.equal_split_misses) == (avoids, misses)
 
 
+# (P(avoid), P(split miss)) at ell = 2, d = 2, by enumerating every permutation
+EXACT_AVOIDANCE = {
+    4: (Fraction(1, 3), Fraction(1, 3)),
+    5: (Fraction(1, 15), Fraction(2, 5)),
+    6: (Fraction(1, 90), Fraction(1, 10)),
+    7: (Fraction(1, 630), Fraction(1, 7)),
+    8: (Fraction(1, 5040), Fraction(1, 35)),
+}
+
+
+def binomial_band(n: int, p: float, alpha: float = 0.001) -> tuple[int, int]:
+    """The two-sided 1 - alpha band [lo, hi] of Binomial(n, p): each tail
+    outside it has probability at most alpha / 2."""
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    cdf, lo = 0.0, None
+    for x in range(n + 1):
+        cdf += math.exp(
+            log_n - math.lgamma(x + 1) - math.lgamma(n - x + 1) + x * log_p + (n - x) * log_q
+        )
+        if lo is None and cdf > alpha / 2:
+            lo = x
+        if cdf >= 1 - alpha / 2:
+            return lo, x
+
+
+class TestAgainstExactEnumeration:
+    """The sampler's distribution, not its bytes: pooled counts against the
+    exact probabilities of `oracles.exact_avoidance`."""
+
+    @pytest.mark.parametrize("k", sorted(EXACT_AVOIDANCE))
+    def test_enumeration(self, k):
+        assert oracles.exact_avoidance(k, 2, 2) == EXACT_AVOIDANCE[k]
+
+    @pytest.mark.parametrize("k", sorted(EXACT_AVOIDANCE))
+    def test_pooled_counts_lie_in_the_binomial_band(self, k):
+        reps = [avoid_probability(k, 2, 2, trials=2000, seed=s) for s in range(1, 21)]
+        pooled = (sum(r.avoid_count for r in reps), sum(r.equal_split_misses for r in reps))
+        for count, p in zip(pooled, EXACT_AVOIDANCE[k]):
+            lo, hi = binomial_band(40_000, p)
+            assert lo <= count <= hi, (count, p, lo, hi)
+
+    def test_band_matches_its_definition(self):
+        lo, hi = binomial_band(100, 0.5, alpha=0.05)
+        # P(X <= 39) = 0.0176 and P(X <= 60) = 0.9824 for Binomial(100, 1/2)
+        assert (lo, hi) == (40, 60)
+
+
 class TestRatioLowerBound:
     def test_worked_examples(self):
         assert ratio_lower_bound(3, 2, 2) == Fraction(3, 4)
